@@ -90,20 +90,24 @@ int Run(BenchJsonWriter& json, BenchNetSource& source) {
       "(paper: 2452)\n\n",
       data.persons().size(), acting_lps, data.companies().size());
 
-  Digraph g1 = BuildInterdependenceGraph(data);
-  PrintStats("Fig.11", "G1 interdependence", ComputeDegreeStats(g1));
+  const NodeId num_persons = static_cast<NodeId>(data.persons().size());
+  const NodeId num_companies = static_cast<NodeId>(data.companies().size());
+  const std::vector<Arc> g1 = BuildInterdependenceGraph(data);
+  PrintStats("Fig.11", "G1 interdependence",
+             ComputeDegreeStats(FrozenGraph(num_persons, g1)));
   size_t kinship = 0;
   size_t interlocking = 0;
-  for (const Arc& arc : g1.arcs()) {
+  for (const Arc& arc : g1) {
     (arc.color == kLayerKinship ? kinship : interlocking) += 1;
   }
   std::printf("         (kinship edges=%zu, interlocking edges=%zu)\n",
               kinship, interlocking);
 
-  Digraph g2 = BuildInfluenceLayerGraph(data);
-  PrintStats("Fig.12", "G2 influence", ComputeDegreeStats(g2));
+  PrintStats("Fig.12", "G2 influence",
+             ComputeDegreeStats(FrozenGraph(num_persons + num_companies,
+                                            BuildInfluenceLayerGraph(data))));
 
-  Digraph g3 = BuildInvestmentGraph(data);
+  const FrozenGraph g3(num_companies, BuildInvestmentGraph(data));
   PrintStats("Fig.13", "G3 investment", ComputeDegreeStats(g3));
   SccResult scc = StronglyConnectedComponents(g3);
   std::printf(
@@ -121,8 +125,9 @@ int Run(BenchJsonWriter& json, BenchNetSource& source) {
 
   PrintFig14(net);
 
-  Digraph g4 = BuildTradingGraph(data);
-  PrintStats("Fig.15", "G4 trading (p=0.002)", ComputeDegreeStats(g4));
+  PrintStats("Fig.15", "G4 trading (p=0.002)",
+             ComputeDegreeStats(
+                 FrozenGraph(num_companies, BuildTradingGraph(data))));
 
   PrintFig16(json, net);
   std::printf("         (TPIIN nodes=%u: %zu person/syndicate + %zu "

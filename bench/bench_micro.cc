@@ -28,7 +28,7 @@ namespace {
 
 // Set by main() when --snapshot=PATH is passed: every fixture then maps
 // the same pre-built net instead of generating+fusing a province, and
-// benchmarks that need the RawDataset or the mutable Digraph skip.
+// benchmarks that need the RawDataset skip.
 std::string g_snapshot_path;  // NOLINT
 
 // Shared fixtures: one province per trading probability, built lazily
@@ -73,11 +73,10 @@ const Fixture& GetFixture(double p) {
 }
 
 // True (and skips the benchmark) when snapshot mode removes this
-// benchmark's input: the raw dataset and the adjacency-list Digraph are
-// not part of the snapshot.
+// benchmark's input: the raw dataset is not part of the snapshot.
 bool SkipInSnapshotMode(benchmark::State& state) {
   if (g_snapshot_path.empty()) return false;
-  state.SkipWithError("needs CSV-mode inputs (dataset/Digraph), "
+  state.SkipWithError("needs the CSV-mode raw dataset, "
                       "not carried by --snapshot");
   return true;
 }
@@ -118,17 +117,7 @@ BENCHMARK(BM_FusionPipelineParallel)
     ->ArgsProduct({{2, 20}, {1, 2, 4}})
     ->ArgNames({"p_mille", "threads"});
 
-void BM_TarjanScc(benchmark::State& state) {
-  if (SkipInSnapshotMode(state)) return;
-  const Fixture& fixture = GetFixture(0.002);
-  for (auto _ : state) {
-    SccResult scc = StronglyConnectedComponents(fixture.net().graph());
-    benchmark::DoNotOptimize(scc.num_components);
-  }
-}
-BENCHMARK(BM_TarjanScc);
-
-// Tarjan over the CSR FrozenGraph view (the fusion pipeline's path).
+// Tarjan over the CSR (the fusion pipeline's path).
 void BM_TarjanSccFrozen(benchmark::State& state) {
   const Fixture& fixture = GetFixture(0.002);
   for (auto _ : state) {
@@ -138,19 +127,7 @@ void BM_TarjanSccFrozen(benchmark::State& state) {
 }
 BENCHMARK(BM_TarjanSccFrozen);
 
-void BM_WeaklyConnected(benchmark::State& state) {
-  if (SkipInSnapshotMode(state)) return;
-  const Fixture& fixture = GetFixture(0.002);
-  for (auto _ : state) {
-    WccResult wcc =
-        WeaklyConnectedComponents(fixture.net().graph(), IsInfluenceArc);
-    benchmark::DoNotOptimize(wcc.num_components);
-  }
-}
-BENCHMARK(BM_WeaklyConnected);
-
-// WCC over the influence span of the CSR view (SegmentTpiin's path): no
-// std::function filter call and no Arc load per edge.
+// WCC over the influence span of the CSR (SegmentTpiin's path).
 void BM_WeaklyConnectedFrozen(benchmark::State& state) {
   const Fixture& fixture = GetFixture(0.002);
   for (auto _ : state) {
@@ -161,13 +138,15 @@ void BM_WeaklyConnectedFrozen(benchmark::State& state) {
 }
 BENCHMARK(BM_WeaklyConnectedFrozen);
 
-// One-off cost of building the CSR view (paid once per (sub)TPIIN build,
-// amortized over every traversal that follows).
+// One-off cost of building the CSR from the arc table (paid once per
+// (sub)TPIIN build, amortized over every traversal that follows).
 void BM_FreezeGraph(benchmark::State& state) {
-  if (SkipInSnapshotMode(state)) return;
   const Fixture& fixture = GetFixture(ArgToProb(state.range(0)));
+  const Tpiin& net = fixture.net();
+  std::vector<Arc> arcs(net.NumArcs());
+  for (ArcId id = 0; id < net.NumArcs(); ++id) arcs[id] = net.arc(id);
   for (auto _ : state) {
-    FrozenGraph frozen(fixture.net().graph(), kArcInfluence);
+    FrozenGraph frozen(net.NumNodes(), arcs, kArcInfluence);
     benchmark::DoNotOptimize(frozen.NumArcs());
   }
 }
@@ -182,208 +161,21 @@ void BM_SegmentTpiin(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentTpiin)->Arg(2)->Arg(20);
 
-// Algorithm 2 over both in-tree drivers: range(1) selects the CSR
-// FrozenGraph driver (1, the production default) or the adjacency-list
-// fallback driver (0). Output is bit-identical; only the walk's memory
-// traffic differs. Note both drivers share the arena-backed PatternBase
-// and the frozen listD degree counters — for the full speedup over what
-// the growth seed shipped, compare against BM_GeneratePatternBaseSeed.
+// Algorithm 2 over every subTPIIN of the province.
 void BM_GeneratePatternBase(benchmark::State& state) {
   const Fixture& fixture = GetFixture(ArgToProb(state.range(0)));
   std::vector<SubTpiin> subs = SegmentTpiin(fixture.net());
-  PatternGenOptions options;
-  options.use_frozen_graph = state.range(1) != 0;
   for (auto _ : state) {
     size_t trails = 0;
     for (const SubTpiin& sub : subs) {
-      Result<PatternGenResult> gen = GeneratePatternBase(sub, options);
+      Result<PatternGenResult> gen = GeneratePatternBase(sub);
       TPIIN_CHECK(gen.ok());
       trails += gen->base.size();
     }
     benchmark::DoNotOptimize(trails);
   }
 }
-BENCHMARK(BM_GeneratePatternBase)
-    ->ArgsProduct({{2, 20}, {0, 1}})
-    ->ArgNames({"p_mille", "frozen"});
-
-// Reference reimplementation of Algorithm 2 exactly as the growth seed
-// shipped it, kept here (bench-only, never linked into the library) as
-// the baseline for the PR's headline number: DFS over Digraph::OutArcs
-// with a per-edge ArcColor branch, one heap-allocated std::vector<NodeId>
-// copied per emitted trail, and an O(arcs) indegree scan in listD. The
-// production path replaced all three (color-partitioned CSR spans, arena
-// PatternBase, FrozenGraph degree counters); equivalence tests pin the
-// output bit-identical, so BM_GeneratePatternBaseSeed /
-// BM_GeneratePatternBase{frozen:1} is a pure like-for-like speedup.
-namespace seed_reference {
-
-struct SeedTrail {
-  std::vector<NodeId> nodes;
-  NodeId trade_dst = kInvalidNode;
-  ArcId trade_arc = kInvalidArc;
-};
-
-struct SeedResult {
-  std::vector<SeedTrail> base;
-  PatternsTree tree;
-  size_t num_trails = 0;
-};
-
-SeedResult GeneratePatternBaseSeed(const SubTpiin& sub) {
-  const Digraph& g = sub.graph;
-  const NodeId n = g.NumNodes();
-  SeedResult result;
-
-  std::vector<uint32_t> influence_in(n, 0);
-  for (ArcId id = 0; id < sub.num_influence_arcs; ++id) {
-    ++influence_in[g.arc(id).dst];
-  }
-  {  // Kahn DAG check over the influence subgraph.
-    std::vector<uint32_t> degree = influence_in;
-    std::vector<NodeId> frontier;
-    for (NodeId v = 0; v < n; ++v) {
-      if (degree[v] == 0) frontier.push_back(v);
-    }
-    NodeId processed = 0;
-    while (!frontier.empty()) {
-      NodeId u = frontier.back();
-      frontier.pop_back();
-      ++processed;
-      for (ArcId id : g.OutArcs(u)) {
-        const Arc& arc = g.arc(id);
-        if (!IsInfluenceArc(arc)) continue;
-        if (--degree[arc.dst] == 0) frontier.push_back(arc.dst);
-      }
-    }
-    TPIIN_CHECK_EQ(processed, n);
-  }
-
-  // Seed listD: indegree via a full arc scan (no CSR degree counters).
-  std::vector<ListDEntry> list(n);
-  for (NodeId v = 0; v < n; ++v) {
-    list[v].node = v;
-    list[v].out_degree = g.OutDegree(v);
-  }
-  for (const Arc& arc : g.arcs()) ++list[arc.dst].in_degree;
-  std::sort(list.begin(), list.end(),
-            [](const ListDEntry& a, const ListDEntry& b) {
-              if (a.in_degree != b.in_degree) {
-                return a.in_degree < b.in_degree;
-              }
-              if (a.out_degree != b.out_degree) {
-                return a.out_degree > b.out_degree;
-              }
-              return a.node < b.node;
-            });
-  std::vector<NodeId> roots;
-  for (const ListDEntry& entry : list) {
-    if (influence_in[entry.node] == 0) roots.push_back(entry.node);
-  }
-
-  struct Frame {
-    NodeId node;
-    uint32_t arc_pos;
-    int32_t tree_index;
-  };
-  std::vector<Frame> frames;
-  std::vector<NodeId> path;
-  std::vector<uint8_t> on_path(n, 0);
-
-  auto emit_plain = [&]() {
-    ++result.num_trails;
-    SeedTrail trail;
-    trail.nodes = path;
-    result.base.push_back(std::move(trail));
-  };
-  auto emit_trade = [&](ArcId arc_id, NodeId dst) {
-    ++result.num_trails;
-    SeedTrail trail;
-    trail.nodes = path;
-    trail.trade_dst = dst;
-    trail.trade_arc = arc_id;
-    result.base.push_back(std::move(trail));
-  };
-  auto add_tree_node = [&](NodeId graph_node, int32_t parent,
-                           bool via_trade, ArcId via_arc) -> int32_t {
-    int32_t index = static_cast<int32_t>(result.tree.nodes.size());
-    result.tree.nodes.push_back(
-        PatternsTree::TreeNode{graph_node, parent, via_trade, via_arc});
-    if (parent < 0) result.tree.roots.push_back(index);
-    return index;
-  };
-
-  for (NodeId root : roots) {
-    int32_t root_tree = add_tree_node(root, -1, false, kInvalidArc);
-    frames.push_back(Frame{root, 0, root_tree});
-    path.push_back(root);
-    on_path[root] = 1;
-    if (g.OutDegree(root) == 0) emit_plain();  // Rule 1 at the root.
-
-    while (!frames.empty()) {
-      Frame& frame = frames.back();
-      std::span<const ArcId> out = g.OutArcs(frame.node);
-      bool descended = false;
-      while (frame.arc_pos < out.size()) {
-        ArcId arc_id = out[frame.arc_pos];
-        ++frame.arc_pos;
-        const Arc& arc = g.arc(arc_id);
-        if (IsTradingArc(arc)) {
-          emit_trade(arc_id, arc.dst);
-          add_tree_node(arc.dst, frame.tree_index, true, arc_id);
-          continue;
-        }
-        TPIIN_CHECK(!on_path[arc.dst]);
-        int32_t child_tree =
-            add_tree_node(arc.dst, frame.tree_index, false, arc_id);
-        frames.push_back(Frame{arc.dst, 0, child_tree});
-        path.push_back(arc.dst);
-        on_path[arc.dst] = 1;
-        if (g.OutDegree(arc.dst) == 0) emit_plain();  // Rule 1.
-        descended = true;
-        break;
-      }
-      if (!descended && !frames.empty() &&
-          frames.back().arc_pos >=
-              g.OutArcs(frames.back().node).size()) {
-        on_path[frames.back().node] = 0;
-        path.pop_back();
-        frames.pop_back();
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace seed_reference
-
-void BM_GeneratePatternBaseSeed(benchmark::State& state) {
-  const Fixture& fixture = GetFixture(ArgToProb(state.range(0)));
-  std::vector<SubTpiin> subs = SegmentTpiin(fixture.net());
-  // Pin the reference to the production driver before timing it: same
-  // trail count (and therefore the same emitted base) per subnetwork.
-  for (const SubTpiin& sub : subs) {
-    Result<PatternGenResult> gen = GeneratePatternBase(sub);
-    TPIIN_CHECK(gen.ok());
-    seed_reference::SeedResult ref =
-        seed_reference::GeneratePatternBaseSeed(sub);
-    TPIIN_CHECK_EQ(gen->num_trails, ref.num_trails);
-    TPIIN_CHECK_EQ(gen->tree.nodes.size(), ref.tree.nodes.size());
-  }
-  for (auto _ : state) {
-    size_t trails = 0;
-    for (const SubTpiin& sub : subs) {
-      seed_reference::SeedResult gen =
-          seed_reference::GeneratePatternBaseSeed(sub);
-      trails += gen.base.size();
-    }
-    benchmark::DoNotOptimize(trails);
-  }
-}
-BENCHMARK(BM_GeneratePatternBaseSeed)
-    ->Arg(2)
-    ->Arg(20)
-    ->ArgNames({"p_mille"});
+BENCHMARK(BM_GeneratePatternBase)->Arg(2)->Arg(20);
 
 void BM_MatchPatterns(benchmark::State& state) {
   const Fixture& fixture = GetFixture(ArgToProb(state.range(0)));

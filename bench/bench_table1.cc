@@ -134,7 +134,7 @@ RowOutput MeasureRow(const RawDataset& base_dataset,
   TPIIN_CHECK_EQ(proposed_groups, baseline_groups);
   TPIIN_CHECK_EQ(proposed_arcs.size(), baseline.suspicious_trades.size());
 
-  row.avg_degree = ComputeDegreeStats(net.graph()).average_degree;
+  row.avg_degree = ComputeDegreeStats(net.frozen()).average_degree;
   row.num_complex = result->num_complex;
   row.num_simple = result->num_simple;
   row.suspicious_trades = result->suspicious_trades.size();

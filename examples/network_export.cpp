@@ -57,6 +57,8 @@ int Run(int argc, char** argv) {
     company_labels.push_back(c.name);
   }
   std::vector<std::string> mixed_labels = person_labels;
+  const NodeId num_persons = static_cast<NodeId>(person_labels.size());
+  const NodeId num_companies = static_cast<NodeId>(company_labels.size());
   mixed_labels.insert(mixed_labels.end(), company_labels.begin(),
                       company_labels.end());
 
@@ -68,13 +70,17 @@ int Run(int argc, char** argv) {
 
   std::printf("Exporting the network layers (Figs. 11-16):\n");
   save("g1_interdependence.dot",
-       LayerToDot(BuildInterdependenceGraph(data), person_labels, "G1"));
+       LayerToDot(num_persons, BuildInterdependenceGraph(data), person_labels,
+                  "G1"));
   save("g2_influence.dot",
-       LayerToDot(BuildInfluenceLayerGraph(data), mixed_labels, "G2"));
+       LayerToDot(num_persons + num_companies, BuildInfluenceLayerGraph(data),
+                  mixed_labels, "G2"));
   save("g3_investment.dot",
-       LayerToDot(BuildInvestmentGraph(data), company_labels, "G3"));
+       LayerToDot(num_companies, BuildInvestmentGraph(data), company_labels,
+                  "G3"));
   save("g4_trading.dot",
-       LayerToDot(BuildTradingGraph(data), company_labels, "G4"));
+       LayerToDot(num_companies, BuildTradingGraph(data), company_labels,
+                  "G4"));
 
   Result<FusionOutput> fused = BuildTpiin(data);
   TPIIN_CHECK(fused.ok()) << fused.status().ToString();

@@ -61,6 +61,7 @@ class Col {
 
   /// Owned storage for the build path; call Seal() when done mutating.
   std::vector<T>& vec() { return owned_; }
+  const std::vector<T>& vec() const { return owned_; }
 
   void Seal() {
     data_ = owned_.data();

@@ -14,11 +14,8 @@ namespace {
 // path {anchor}), plus every trade-terminated trail formed by joining a
 // trading arc to a path end (Lemma 1).
 //
-// Walks the frozen CSR view: the DFS descends over each node's
-// influence span and trail termination sweeps its trading span. Both
-// spans preserve the Digraph's per-node insertion order, so the
-// enumeration (and every group derived from it) is identical to the
-// old adjacency-list walk that filtered arcs by color.
+// Walks the CSR: the DFS descends over each node's influence span and
+// trail termination sweeps its trading span, each in arc-id order.
 struct Enumeration {
   std::vector<std::vector<NodeId>> paths;  // Influence-only paths.
   // (path index, buyer node) pairs: the trail paths[i] plus the trading

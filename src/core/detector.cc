@@ -130,10 +130,10 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
   // inherently time-dependent; caps are the deterministic knob.
   for (size_t index = 0; index < subs.size(); ++index) {
     if (options.budget.max_sub_nodes != 0 &&
-        subs[index].graph.NumNodes() > options.budget.max_sub_nodes) {
+        subs[index].frozen.NumNodes() > options.budget.max_sub_nodes) {
       outcomes[index].skip = SubSkip::kNodeCap;
     } else if (options.budget.max_sub_arcs != 0 &&
-               subs[index].graph.NumArcs() > options.budget.max_sub_arcs) {
+               subs[index].frozen.NumArcs() > options.budget.max_sub_arcs) {
       outcomes[index].skip = SubSkip::kArcCap;
     }
   }
@@ -153,7 +153,6 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
     // materialized when the caller wants the Fig. 10 artifacts.
     gen_options.emit_trails = options.emit_pattern_bases;
     gen_options.max_trails = options.max_trails_per_subtpiin;
-    gen_options.use_frozen_graph = options.use_frozen_graph;
     gen_options.deadline = Deadline::Sooner(
         run_deadline, Deadline::After(options.budget.sub_slice_seconds));
     PatternScratch scratch;
@@ -208,8 +207,8 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
     SubOutcome& outcome = outcomes[index];
     SubTpiinProfile profile;
     profile.index = index;
-    profile.num_nodes = subs[index].graph.NumNodes();
-    profile.num_arcs = subs[index].graph.NumArcs();
+    profile.num_nodes = subs[index].frozen.NumNodes();
+    profile.num_arcs = subs[index].frozen.NumArcs();
     profile.num_trails = outcome.num_trails;
     profile.skip = outcome.skip;
     if (outcome.skip != SubSkip::kNone) {

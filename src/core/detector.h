@@ -85,11 +85,6 @@ struct DetectorOptions {
   /// Trail-generation safety valves (0 = unlimited).
   size_t max_trails_per_subtpiin = 0;
 
-  /// Traverse the CSR FrozenGraph views carried by the subTPIINs (see
-  /// PatternGenOptions::use_frozen_graph). Off = force the legacy
-  /// adjacency-list walk; results are bit-identical either way.
-  bool use_frozen_graph = true;
-
   /// Worker threads for the per-subTPIIN stage (§7's parallel-processing
   /// direction; subTPIINs are independent by construction). 0 auto-detects
   /// hardware_concurrency(); 1 runs single-threaded. Work is executed on

@@ -102,7 +102,7 @@ std::string SuspiciousGroup::Format(const Tpiin& net) const {
 MatchResult MatchPatterns(const SubTpiin& sub, const PatternBase& base,
                           const MatchOptions& options) {
   MatchResult result;
-  const NodeId n = sub.graph.NumNodes();
+  const NodeId n = sub.frozen.NumNodes();
 
   // Trails grouped by antecedent root. Trails are emitted root by root,
   // so the groups are contiguous runs, but we do not rely on that.
@@ -216,7 +216,7 @@ MatchResult MatchPatterns(const SubTpiin& sub, const PatternBase& base,
 MatchResult MatchPatternsTree(const SubTpiin& sub, const PatternsTree& tree,
                               const MatchOptions& options) {
   MatchResult result;
-  const NodeId n = sub.graph.NumNodes();
+  const NodeId n = sub.frozen.NumNodes();
   std::vector<uint8_t> in_trade_trail(n, 0);
   std::unordered_set<ArcId> suspicious_local_arcs;
   std::unordered_set<std::vector<NodeId>, NodeVecHash> seen_cycles;

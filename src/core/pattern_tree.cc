@@ -7,23 +7,13 @@
 namespace tpiin {
 
 std::vector<ListDEntry> ComputeListD(const SubTpiin& sub) {
-  const NodeId n = sub.graph.NumNodes();
+  const FrozenGraph& fg = sub.frozen;
+  const NodeId n = fg.NumNodes();
   std::vector<ListDEntry> list(n);
-  if (sub.frozen_in_sync()) {
-    // CSR fast path: both degrees are O(1) offset subtractions.
-    const FrozenGraph& fg = sub.frozen;
-    for (NodeId v = 0; v < n; ++v) {
-      list[v].node = v;
-      list[v].out_degree = fg.OutDegree(v);
-      list[v].in_degree = fg.InDegree(v);
-    }
-  } else {
-    const Digraph& g = sub.graph;
-    for (NodeId v = 0; v < n; ++v) {
-      list[v].node = v;
-      list[v].out_degree = g.OutDegree(v);
-    }
-    for (const Arc& arc : g.arcs()) ++list[arc.dst].in_degree;
+  for (NodeId v = 0; v < n; ++v) {
+    list[v].node = v;
+    list[v].out_degree = fg.OutDegree(v);
+    list[v].in_degree = fg.InDegree(v);
   }
   std::sort(list.begin(), list.end(),
             [](const ListDEntry& a, const ListDEntry& b) {
@@ -85,9 +75,8 @@ std::string PatternsTree::ToString(const SubTpiin& sub) const {
 
 namespace {
 
-// Emission state shared by the two DFS drivers: the trail budget, the
-// arena-backed trail base and the patterns tree all behave identically
-// whichever adjacency representation feeds the walk.
+// Emission state of the DFS: the trail budget, the arena-backed trail
+// base and the patterns tree.
 struct TrailSink {
   const PatternGenOptions& options;
   PatternGenResult& result;
@@ -139,41 +128,38 @@ struct Frame {
   int32_t tree_index;
 };
 
-// Root selection shared by both drivers: nodes with zero *influence*
-// indegree. On well-formed TPIINs (every company linked to a legal
-// person) this equals the paper's "indegree-zero over the whole
-// subTPIIN" rule, because Person nodes never receive arcs and Company
-// nodes always have an incoming influence arc; on arbitrary hand-built
-// networks the influence-based rule additionally guarantees completeness
-// when a company heading an investment chain receives only trading arcs.
-template <typename InfluenceInDegreeFn>
+// Root selection: nodes with zero *influence* indegree. On well-formed
+// TPIINs (every company linked to a legal person) this equals the
+// paper's "indegree-zero over the whole subTPIIN" rule, because Person
+// nodes never receive arcs and Company nodes always have an incoming
+// influence arc; on arbitrary hand-built networks the influence-based
+// rule additionally guarantees completeness when a company heading an
+// investment chain receives only trading arcs.
 std::vector<NodeId> SelectRoots(const SubTpiin& sub,
-                                const PatternGenOptions& options,
-                                NodeId n,
-                                const InfluenceInDegreeFn& influence_in) {
+                                const PatternGenOptions& options) {
+  const FrozenGraph& fg = sub.frozen;
   std::vector<NodeId> roots;
   if (options.order_roots_by_list_d) {
     for (const ListDEntry& entry : ComputeListD(sub)) {
-      if (influence_in(entry.node) == 0) roots.push_back(entry.node);
+      if (fg.InfluenceInDegree(entry.node) == 0) roots.push_back(entry.node);
     }
   } else {
-    for (NodeId v = 0; v < n; ++v) {
-      if (influence_in(v) == 0) roots.push_back(v);
+    for (NodeId v = 0; v < fg.NumNodes(); ++v) {
+      if (fg.InfluenceInDegree(v) == 0) roots.push_back(v);
     }
   }
   return roots;
 }
 
-// Algorithm 2 over the CSR view: each frame walks its influence span
+// Algorithm 2 over the CSR: each frame walks its influence span
 // (descents) and then sweeps its trading span (Rule 2 emissions) — no
-// Arc struct load and no per-edge color branch anywhere. Because every
-// subTPIIN stores each node's influence arcs before its trading arcs,
-// the visit order — and therefore the emitted base, the patterns tree
-// and every downstream match — is bit-identical to the adjacency-list
-// driver below (asserted by tests/core/frozen_equivalence_test.cc).
-Result<PatternGenResult> GenerateFrozen(const SubTpiin& sub,
-                                        const PatternGenOptions& options,
-                                        PatternGenResult result) {
+// Arc struct load and no per-edge color branch anywhere. Every
+// subTPIIN numbers its influence arcs before its trading arcs, so this
+// visits each node's out arcs in arc-id order; the emitted base and
+// patterns tree are pinned by tests/integration/golden_digest_test.cc.
+Result<PatternGenResult> Generate(const SubTpiin& sub,
+                                  const PatternGenOptions& options,
+                                  PatternGenResult result) {
   const FrozenGraph& fg = sub.frozen;
   const NodeId n = fg.NumNodes();
 
@@ -202,8 +188,7 @@ Result<PatternGenResult> GenerateFrozen(const SubTpiin& sub,
     }
   }
 
-  std::vector<NodeId> roots = SelectRoots(
-      sub, options, n, [&](NodeId v) { return fg.InfluenceInDegree(v); });
+  std::vector<NodeId> roots = SelectRoots(sub, options);
 
   std::vector<Frame> frames;
   std::vector<NodeId> path;
@@ -277,126 +262,13 @@ Result<PatternGenResult> GenerateFrozen(const SubTpiin& sub,
   return result;
 }
 
-// Algorithm 2 over the mutable adjacency lists — the seed
-// implementation, kept as the reference path for hand-built SubTpiins
-// that were never frozen and for the frozen-vs-legacy equivalence tests
-// and benchmarks.
-Result<PatternGenResult> GenerateLegacy(const SubTpiin& sub,
-                                        const PatternGenOptions& options,
-                                        PatternGenResult result) {
-  const Digraph& g = sub.graph;
-  const NodeId n = g.NumNodes();
-
-  std::vector<uint32_t> influence_in(n, 0);
-  for (ArcId id = 0; id < sub.num_influence_arcs; ++id) {
-    ++influence_in[g.arc(id).dst];
-  }
-
-  // Property 1 DAG check (see GenerateFrozen).
-  {
-    std::vector<uint32_t> degree = influence_in;
-    std::vector<NodeId> frontier;
-    for (NodeId v = 0; v < n; ++v) {
-      if (degree[v] == 0) frontier.push_back(v);
-    }
-    NodeId processed = 0;
-    while (!frontier.empty()) {
-      NodeId u = frontier.back();
-      frontier.pop_back();
-      ++processed;
-      for (ArcId id : g.OutArcs(u)) {
-        const Arc& arc = g.arc(id);
-        if (!IsInfluenceArc(arc)) continue;
-        if (--degree[arc.dst] == 0) frontier.push_back(arc.dst);
-      }
-    }
-    if (processed != n) {
-      return Status::FailedPrecondition(
-          "influence subgraph contains a directed cycle");
-    }
-  }
-
-  std::vector<NodeId> roots = SelectRoots(
-      sub, options, n, [&](NodeId v) { return influence_in[v]; });
-
-  std::vector<Frame> frames;
-  std::vector<NodeId> path;
-  std::vector<uint8_t> on_path(n, 0);
-  TrailSink sink{options, result, path};
-
-  for (NodeId root : roots) {
-    if (sink.OverBudget()) {
-      result.truncated = true;
-      break;
-    }
-    int32_t root_tree = sink.AddTreeNode(root, -1, false, kInvalidArc);
-    frames.push_back(Frame{root, 0, root_tree});
-    path.push_back(root);
-    on_path[root] = 1;
-    if (g.OutDegree(root) == 0) sink.EmitPlain();  // Rule 1 at the root.
-
-    while (!frames.empty()) {
-      if (sink.OverBudget()) {
-        result.truncated = true;
-        // Unwind cleanly so on_path/path stay consistent.
-        for (const Frame& f : frames) on_path[f.node] = 0;
-        frames.clear();
-        path.clear();
-        break;
-      }
-      Frame& frame = frames.back();
-      std::span<const ArcId> out = g.OutArcs(frame.node);
-      bool descended = false;
-      bool length_capped = options.max_trail_length != 0 &&
-                           path.size() >= options.max_trail_length;
-      while (frame.arc_pos < out.size()) {
-        ArcId arc_id = out[frame.arc_pos];
-        ++frame.arc_pos;
-        const Arc& arc = g.arc(arc_id);
-        if (IsTradingArc(arc)) {
-          // Rule 2: the first trading arc ends the walk (Lemma 1 keeps
-          // it a trail even when arc.dst already lies on the path).
-          sink.EmitTrade(arc_id, arc.dst);
-          sink.AddTreeNode(arc.dst, frame.tree_index, true, arc_id);
-          continue;
-        }
-        if (on_path[arc.dst]) {
-          return Status::FailedPrecondition(
-              "influence subgraph contains a directed cycle through " +
-              std::string(sub.Label(arc.dst)));
-        }
-        if (length_capped) {
-          result.truncated = true;
-          continue;
-        }
-        int32_t child_tree =
-            sink.AddTreeNode(arc.dst, frame.tree_index, false, arc_id);
-        frames.push_back(Frame{arc.dst, 0, child_tree});
-        path.push_back(arc.dst);
-        on_path[arc.dst] = 1;
-        if (g.OutDegree(arc.dst) == 0) sink.EmitPlain();  // Rule 1.
-        descended = true;
-        break;
-      }
-      if (!descended && !frames.empty() &&
-          frames.back().arc_pos >= g.OutArcs(frames.back().node).size()) {
-        on_path[frames.back().node] = 0;
-        path.pop_back();
-        frames.pop_back();
-      }
-    }
-  }
-
-  return result;
-}
-
 }  // namespace
 
 Result<PatternGenResult> GeneratePatternBase(
     const SubTpiin& sub, const PatternGenOptions& options) {
   // Seed the result with recycled buffers when the caller provided
   // scratch: content-wise a cleared buffer equals a fresh one, so the
-  // drivers are oblivious to where their storage came from.
+  // walk is oblivious to where its storage came from.
   PatternGenResult seed;
   if (options.scratch != nullptr) {
     seed.base = std::move(options.scratch->base);
@@ -404,10 +276,7 @@ Result<PatternGenResult> GeneratePatternBase(
     seed.tree = std::move(options.scratch->tree);
     seed.tree.Clear();
   }
-  if (options.use_frozen_graph && sub.frozen_in_sync()) {
-    return GenerateFrozen(sub, options, std::move(seed));
-  }
-  return GenerateLegacy(sub, options, std::move(seed));
+  return Generate(sub, options, std::move(seed));
 }
 
 }  // namespace tpiin

@@ -97,13 +97,6 @@ struct PatternGenOptions {
   /// just under-approximates the pattern set. Unlimited by default.
   Deadline deadline;
 
-  /// Traverse the CSR FrozenGraph view (color-partitioned spans, no
-  /// per-arc branch) when `sub.frozen_in_sync()`. The adjacency-list
-  /// driver remains as the fallback for un-frozen SubTpiins and as the
-  /// reference implementation for the equivalence tests; both emit
-  /// bit-identical results.
-  bool use_frozen_graph = true;
-
   /// Optional recycled buffers: when set, generation takes over
   /// scratch->base/tree storage (cleared, capacity kept) for the
   /// returned result instead of growing fresh vectors. The emitted

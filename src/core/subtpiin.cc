@@ -56,6 +56,7 @@ std::vector<SubTpiin> SegmentTpiin(const Tpiin& net,
   }
 
   std::vector<NodeId> local_of_global(net.NumNodes(), kInvalidNode);
+  std::vector<Arc> arcs;  // Reused per component.
   std::vector<SubTpiin> out;
   for (NodeId comp = 0; comp < wcc.num_components; ++comp) {
     const std::vector<NodeId>& members = wcc.members[comp];
@@ -67,35 +68,35 @@ std::vector<SubTpiin> SegmentTpiin(const Tpiin& net,
     SubTpiin sub;
     sub.parent = &net;
     sub.global_of_local = members;  // Already sorted ascending.
-    sub.graph.AddNodes(static_cast<NodeId>(members.size()));
     for (NodeId local = 0; local < members.size(); ++local) {
       local_of_global[members[local]] = local;
     }
 
-    // Influence arcs internal to the component (all arcs touching a
-    // member are internal by construction of the WCC). The frozen view's
-    // influence span preserves the adjacency-list order, so local arc
-    // ids come out identical to the legacy filtered scan.
+    // Local arc table: influence arcs internal to the component (all
+    // arcs touching a member are internal by construction of the WCC)
+    // in CSR span order, then the component's trading arcs in id order.
+    arcs.clear();
     for (NodeId local = 0; local < members.size(); ++local) {
       NodeId global = members[local];
       AdjSpan influence_out = fg.InfluenceOut(global);
       for (size_t i = 0; i < influence_out.size(); ++i) {
         NodeId dst = influence_out.nodes[i];
         TPIIN_CHECK_EQ(wcc.component_of[dst], comp);
-        sub.graph.AddArc(local, local_of_global[dst], kArcInfluence);
+        arcs.push_back(Arc{local, local_of_global[dst], kArcInfluence});
         sub.global_arc_of_local.push_back(influence_out.arcs[i]);
       }
     }
-    sub.num_influence_arcs = sub.graph.NumArcs();
+    sub.num_influence_arcs = static_cast<ArcId>(arcs.size());
 
     for (ArcId id : trading_of_component[comp]) {
       const Arc arc = net.arc(id);
-      sub.graph.AddArc(local_of_global[arc.src], local_of_global[arc.dst],
-                       kArcTrading);
+      arcs.push_back(Arc{local_of_global[arc.src], local_of_global[arc.dst],
+                         kArcTrading});
       sub.global_arc_of_local.push_back(id);
     }
 
-    sub.Freeze();
+    sub.frozen = FrozenGraph(static_cast<NodeId>(members.size()), arcs,
+                             kArcInfluence);
     out.push_back(std::move(sub));
   }
 

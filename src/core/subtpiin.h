@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "fusion/tpiin.h"
-#include "graph/digraph.h"
 #include "graph/frozen.h"
 #include "graph/types.h"
 
@@ -22,26 +21,10 @@ namespace tpiin {
 struct SubTpiin {
   const Tpiin* parent = nullptr;
 
-  /// Local graph: influence arcs occupy ids [0, num_influence_arcs).
-  Digraph graph;
-  ArcId num_influence_arcs = 0;
-
-  /// CSR view of `graph` (influence arcs first per node); every worker
-  /// traverses this compact form. SegmentTpiin freezes each subTPIIN it
-  /// emits; call Freeze() after the last mutation when building a
-  /// SubTpiin by hand, or leave it stale to force the adjacency-list
-  /// code paths (GeneratePatternBase falls back automatically).
+  /// Local graph, built by SegmentTpiin straight from the local arc
+  /// table; influence arcs occupy ids [0, num_influence_arcs).
   FrozenGraph frozen;
-
-  void Freeze() { frozen = FrozenGraph(graph, kArcInfluence); }
-
-  /// True when `frozen` mirrors `graph` (same node and arc counts); the
-  /// cheap staleness test the algorithm entry points use before taking
-  /// the CSR fast path.
-  bool frozen_in_sync() const {
-    return frozen.NumNodes() == graph.NumNodes() &&
-           frozen.NumArcs() == graph.NumArcs();
-  }
+  ArcId num_influence_arcs = 0;
 
   std::vector<NodeId> global_of_local;
   std::vector<ArcId> global_arc_of_local;
@@ -50,7 +33,7 @@ struct SubTpiin {
   ArcId ToGlobalArc(ArcId local) const { return global_arc_of_local[local]; }
 
   ArcId num_trading_arcs() const {
-    return graph.NumArcs() - num_influence_arcs;
+    return frozen.NumArcs() - num_influence_arcs;
   }
 
   /// Label of a local node (delegates to the parent TPIIN).

@@ -13,8 +13,8 @@ uint64_t PairKey(NodeId a, NodeId b) {
 
 }  // namespace
 
-Digraph BuildInterdependenceGraph(const RawDataset& dataset) {
-  Digraph g(static_cast<NodeId>(dataset.persons().size()));
+std::vector<Arc> BuildInterdependenceGraph(const RawDataset& dataset) {
+  std::vector<Arc> arcs;
   std::unordered_set<uint64_t> seen;
   for (const InterdependenceRecord& rec : dataset.interdependence()) {
     NodeId a = rec.person_a;
@@ -24,44 +24,42 @@ Digraph BuildInterdependenceGraph(const RawDataset& dataset) {
     ArcColor color = rec.kind == InterdependenceKind::kKinship
                          ? kLayerKinship
                          : kLayerInterlocking;
-    g.AddArc(a, b, color);
+    arcs.push_back(Arc{a, b, color});
   }
-  return g;
+  return arcs;
 }
 
-Digraph BuildInfluenceLayerGraph(const RawDataset& dataset) {
+std::vector<Arc> BuildInfluenceLayerGraph(const RawDataset& dataset) {
   const NodeId num_persons = static_cast<NodeId>(dataset.persons().size());
-  const NodeId num_companies =
-      static_cast<NodeId>(dataset.companies().size());
-  Digraph g(num_persons + num_companies);
+  std::vector<Arc> arcs;
   std::unordered_set<uint64_t> seen;
   for (const InfluenceRecord& rec : dataset.influence()) {
     NodeId src = rec.person;
     NodeId dst = num_persons + rec.company;
     if (!seen.insert(PairKey(src, dst)).second) continue;
-    g.AddArc(src, dst, kLayerInfluence);
+    arcs.push_back(Arc{src, dst, kLayerInfluence});
   }
-  return g;
+  return arcs;
 }
 
-Digraph BuildInvestmentGraph(const RawDataset& dataset) {
-  Digraph g(static_cast<NodeId>(dataset.companies().size()));
+std::vector<Arc> BuildInvestmentGraph(const RawDataset& dataset) {
+  std::vector<Arc> arcs;
   std::unordered_set<uint64_t> seen;
   for (const InvestmentRecord& rec : dataset.investments()) {
     if (!seen.insert(PairKey(rec.investor, rec.investee)).second) continue;
-    g.AddArc(rec.investor, rec.investee, kLayerInvestment);
+    arcs.push_back(Arc{rec.investor, rec.investee, kLayerInvestment});
   }
-  return g;
+  return arcs;
 }
 
-Digraph BuildTradingGraph(const RawDataset& dataset) {
-  Digraph g(static_cast<NodeId>(dataset.companies().size()));
+std::vector<Arc> BuildTradingGraph(const RawDataset& dataset) {
+  std::vector<Arc> arcs;
   std::unordered_set<uint64_t> seen;
   for (const TradeRecord& rec : dataset.trades()) {
     if (!seen.insert(PairKey(rec.seller, rec.buyer)).second) continue;
-    g.AddArc(rec.seller, rec.buyer, kLayerTrading);
+    arcs.push_back(Arc{rec.seller, rec.buyer, kLayerTrading});
   }
-  return g;
+  return arcs;
 }
 
 }  // namespace tpiin

@@ -1,7 +1,9 @@
 #ifndef TPIIN_FUSION_LAYERS_H_
 #define TPIIN_FUSION_LAYERS_H_
 
-#include "graph/digraph.h"
+#include <vector>
+
+#include "graph/types.h"
 #include "model/dataset.h"
 
 namespace tpiin {
@@ -15,25 +17,30 @@ inline constexpr ArcColor kLayerInfluence = 12;     // blue arcs (Fig. 12)
 inline constexpr ArcColor kLayerInvestment = 13;    // green/red arcs (Fig. 13)
 inline constexpr ArcColor kLayerTrading = 14;       // black arcs (Fig. 15)
 
+/// Each layer builder returns its deduplicated arc table: arc `id` is
+/// row `id`, in first-record order. The node count is implied by the
+/// dataset and stated per layer; FrozenGraph and LayerToDot take the
+/// table as is.
+
 /// G1, the interdependence graph (§4.1): one node per person, one
 /// unidirectional edge per deduplicated person pair (when both a kinship
 /// and an interlocking record exist for a pair, only the first is kept —
 /// the fusion contraction is insensitive to which). Stored as a single
 /// directed arc a->b with a < b.
-Digraph BuildInterdependenceGraph(const RawDataset& dataset);
+std::vector<Arc> BuildInterdependenceGraph(const RawDataset& dataset);
 
 /// G2, the influence bipartite graph (§4.1): nodes [0, P) are persons,
 /// [P, P + C) are companies; arcs run person -> company. Duplicate
 /// (person, company) records collapse to one arc.
-Digraph BuildInfluenceLayerGraph(const RawDataset& dataset);
+std::vector<Arc> BuildInfluenceLayerGraph(const RawDataset& dataset);
 
 /// GI (G3 in the experiment figures), the investment graph: one node per
 /// company, deduplicated investor -> investee arcs.
-Digraph BuildInvestmentGraph(const RawDataset& dataset);
+std::vector<Arc> BuildInvestmentGraph(const RawDataset& dataset);
 
 /// G4, the trading graph: one node per company, deduplicated
 /// seller -> buyer arcs.
-Digraph BuildTradingGraph(const RawDataset& dataset);
+std::vector<Arc> BuildTradingGraph(const RawDataset& dataset);
 
 }  // namespace tpiin
 

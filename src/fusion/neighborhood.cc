@@ -13,32 +13,32 @@ Result<Tpiin> ExtractEgoNetwork(const Tpiin& net, NodeId center,
   if (center >= net.NumNodes()) {
     return Status::InvalidArgument("ego center out of range");
   }
-  // Undirected BFS over the selected colors, reading the per-arc-id
-  // accessor so the extraction works on snapshot-backed networks too.
-  std::vector<std::vector<NodeId>> undirected(net.NumNodes());
-  for (ArcId id = 0; id < net.NumArcs(); ++id) {
-    const Arc arc = net.arc(id);
-    bool follow = IsInfluenceArc(arc) ? options.follow_influence
-                                      : options.follow_trading;
-    if (!follow) continue;
-    undirected[arc.src].push_back(arc.dst);
-    undirected[arc.dst].push_back(arc.src);
-  }
-
+  // Undirected BFS over the selected colors: out and in spans of the
+  // CSR, so the extraction works on snapshot-backed networks too. The
+  // kept set is sorted below, so visit order does not matter.
+  const FrozenGraph& fg = net.frozen();
+  const bool follow_any = options.follow_influence || options.follow_trading;
+  const FrozenArcClass arc_class =
+      !options.follow_trading    ? FrozenArcClass::kInfluence
+      : !options.follow_influence ? FrozenArcClass::kTrading
+                                  : FrozenArcClass::kAll;
   constexpr uint32_t kUnseen = UINT32_MAX;
   std::vector<uint32_t> distance(net.NumNodes(), kUnseen);
   std::deque<NodeId> frontier = {center};
   distance[center] = 0;
   std::vector<NodeId> kept = {center};
-  while (!frontier.empty()) {
+  while (follow_any && !frontier.empty()) {
     NodeId u = frontier.front();
     frontier.pop_front();
     if (distance[u] >= options.depth) continue;
-    for (NodeId v : undirected[u]) {
-      if (distance[v] != kUnseen) continue;
-      distance[v] = distance[u] + 1;
-      kept.push_back(v);
-      frontier.push_back(v);
+    for (const AdjSpan& span : {fg.OutClass(u, arc_class),
+                                fg.InClass(u, arc_class)}) {
+      for (NodeId v : span.nodes) {
+        if (distance[v] != kUnseen) continue;
+        distance[v] = distance[u] + 1;
+        kept.push_back(v);
+        frontier.push_back(v);
+      }
     }
   }
   std::sort(kept.begin(), kept.end());

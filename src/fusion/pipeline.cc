@@ -89,10 +89,10 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
   // depend on one layer — run as concurrent tasks. Every task writes to
   // its own slots; all stats are derived serially afterwards, so the
   // output is identical at any thread count.
-  Digraph g1;
+  std::vector<Arc> g1;
   std::vector<NodeId> person_component;
   NodeId num_person_nodes = 0;
-  Digraph gi;
+  std::vector<Arc> gi;
   SccResult scc;
   std::vector<double> influence_weight(dataset.influence().size());
   std::unordered_map<NodeId, std::vector<InvestmentArc>> internal_of_component;
@@ -106,7 +106,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
       [&]() -> Status {
         TPIIN_FAILPOINT("fusion.layer.g1");
         g1 = BuildInterdependenceGraph(dataset);
-        UnionFind person_uf = UnionArcs(num_persons, g1.arcs(), threads);
+        UnionFind person_uf = UnionArcs(num_persons, g1, threads);
         person_component = person_uf.DenseComponentIds();
         num_person_nodes = person_uf.NumSets();
         return Status::OK();
@@ -118,7 +118,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
       [&]() -> Status {
         TPIIN_FAILPOINT("fusion.layer.gi");
         gi = BuildInvestmentGraph(dataset);
-        FrozenGraph frozen_gi(gi, 1, threads);
+        FrozenGraph frozen_gi(num_companies, gi, kLayerInvestment, threads);
         scc = StronglyConnectedComponents(frozen_gi, FrozenArcClass::kAll,
                                           threads);
 
@@ -129,7 +129,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
         for (NodeId comp : scc.nontrivial_components) {
           internal_of_component.emplace(comp, std::vector<InvestmentArc>());
         }
-        for (const Arc& arc : gi.arcs()) {
+        for (const Arc& arc : gi) {
           NodeId comp = scc.component_of[arc.src];
           if (comp != scc.component_of[arc.dst]) continue;
           auto it = internal_of_component.find(comp);
@@ -185,7 +185,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
   close_stage(&timings.layers_seconds, &timings.layers_cpu_seconds);
 
   stats.g1_nodes = num_persons;
-  stats.g1_edges = g1.NumArcs();
+  stats.g1_edges = g1.size();
   stats.person_syndicates = num_person_nodes;
   stats.investment_records = dataset.investments().size();
   const NodeId num_company_nodes = scc.num_components;

@@ -12,7 +12,6 @@
 
 #include "common/column.h"
 #include "common/result.h"
-#include "graph/digraph.h"
 #include "graph/frozen.h"
 #include "graph/types.h"
 #include "model/records.h"
@@ -78,7 +77,7 @@ struct TpiinNode {
 
 /// A trading record whose endpoints were merged into the same company
 /// syndicate. The arc would be a self-loop in the contracted graph, so it
-/// is kept out of the Digraph and reported here; the detector turns each
+/// is kept out of the arc table and reported here; the detector turns each
 /// into a suspicious trade with an intra-SCC proof chain.
 struct IntraSyndicateTrade {
   NodeId syndicate_node = kInvalidNode;
@@ -94,37 +93,24 @@ struct IntraSyndicateTrade {
 ///
 /// Storage is columnar: node colors, a label lexicon (offset-indexed
 /// byte pool), member lists and syndicate provenance as CSR columns,
-/// plus per-arc weights. A fused network owns these columns; a network
-/// opened from a binary snapshot *views* them inside the mmap-ed file —
-/// same API, zero per-node or per-arc work at open time.
+/// the arc table (endpoints and weight per arc id) and the CSR built
+/// from it. A fused network owns these columns; a network opened from a
+/// binary snapshot *views* them inside the mmap-ed file — same API, zero
+/// per-node or per-arc work at open time.
 class Tpiin {
  public:
-  /// The mutable arc store. Only available on networks built in-process
-  /// (fusion, TpiinBuilder, edge-list ingest); snapshot-backed networks
-  /// carry the frozen CSR view and arc endpoint columns instead.
-  /// CHECK-fails when !has_graph() — algorithm code should prefer
-  /// frozen() and arc().
-  const Digraph& graph() const;
-
-  /// False for snapshot-backed networks, whose Digraph was dropped at
-  /// build time.
-  bool has_graph() const { return has_graph_; }
-
-  /// Immutable CSR view, color-partitioned (influence arcs first per
-  /// node); built once by TpiinBuilder::Build() or bound directly to the
-  /// snapshot sections. The traversal hot paths read this instead of the
-  /// adjacency lists.
+  /// Immutable CSR, color-partitioned (influence arcs first per node);
+  /// built once from the arc table by TpiinBuilder::Build() or bound
+  /// directly to the snapshot sections. Every traversal reads this.
   const FrozenGraph& frozen() const { return frozen_; }
 
   NodeId NumNodes() const {
     return static_cast<NodeId>(node_color_.size());
   }
-  ArcId NumArcs() const { return frozen_.NumArcs(); }
+  ArcId NumArcs() const { return static_cast<ArcId>(arc_src_.size()); }
 
-  /// Endpoints and color of an arc, addressable on every network: reads
-  /// the Digraph when present, the snapshot's endpoint columns when not.
+  /// Endpoints and color of an arc: a row of the arc table.
   Arc arc(ArcId id) const {
-    if (has_graph_) return graph_.arc(id);
     return Arc{arc_src_[id], arc_dst_[id],
                id < num_influence_arcs_ ? kArcInfluence : kArcTrading};
   }
@@ -147,9 +133,7 @@ class Tpiin {
   }
 
   ArcId num_influence_arcs() const { return num_influence_arcs_; }
-  ArcId num_trading_arcs() const {
-    return frozen_.NumArcs() - num_influence_arcs_;
-  }
+  ArcId num_trading_arcs() const { return NumArcs() - num_influence_arcs_; }
 
   /// TPIIN node holding a given original person/company. Valid only for
   /// ids < the sizes passed at build time.
@@ -188,8 +172,6 @@ class Tpiin {
   friend class TpiinBuilder;
   friend class SnapshotCodec;  // src/snapshot: serializes/binds columns.
 
-  Digraph graph_;
-  bool has_graph_ = true;
   FrozenGraph frozen_;
 
   // Columnar node store. Offsets columns have NumNodes()+1 entries.
@@ -203,16 +185,17 @@ class Tpiin {
   Col<uint64_t> internal_investment_offsets_;
   Col<InvestmentArc> internal_investments_;
 
+  // The arc table by arc id: endpoints and weight. The color follows
+  // from the id (influence arcs first).
+  Col<NodeId> arc_src_;
+  Col<NodeId> arc_dst_;
   Col<double> arc_weight_;
   ArcId num_influence_arcs_ = 0;
   Col<NodeId> person_node_;
   Col<NodeId> company_node_;
   Col<IntraSyndicateTrade> intra_syndicate_trades_;
 
-  // Snapshot-backed networks only: arc endpoints by arc id (the Digraph
-  // equivalent), and the segmentation index.
-  Col<NodeId> arc_src_;
-  Col<NodeId> arc_dst_;
+  // Snapshot-backed networks only: the segmentation index.
   Col<NodeId> wcc_component_of_;
   NodeId wcc_num_components_ = kInvalidNode;
 };
@@ -259,13 +242,15 @@ class TpiinBuilder {
 
   /// Arcs added so far (after deduplication); lets the fusion pipeline
   /// attribute arc counts to its stages.
-  ArcId NumArcsSoFar() const { return net_.graph_.NumArcs(); }
+  ArcId NumArcsSoFar() const {
+    return static_cast<ArcId>(net_.arc_src_.vec().size());
+  }
 
-  /// Validates and returns the network; the builder is consumed. With
-  /// num_threads > 1 the three finalization passes — arc endpoint
-  /// validation, the antecedent DAG check, and the CSR freeze — run as
-  /// concurrent tasks on the shared ThreadPool (they only read the
-  /// graph); the returned network is identical at any thread count.
+  /// Validates and returns the network; the builder is consumed. Builds
+  /// the CSR from the arc table while arc endpoint validation runs as a
+  /// concurrent task on the shared ThreadPool, then checks that the
+  /// antecedent layer is a DAG; the returned network is identical at any
+  /// thread count.
   Result<Tpiin> Build(uint32_t num_threads = 1);
 
  private:
@@ -274,6 +259,9 @@ class TpiinBuilder {
   ArcId LookupOrInsertArcKey(NodeId src, NodeId dst, ArcColor color);
 
   NodeId AddNode(NodeColor color, std::string_view label);
+
+  /// Appends a row to the arc table; both endpoints must already exist.
+  void AppendArc(NodeId src, NodeId dst);
 
   /// Checks the per-arc endpoint invariants (influence ends at Company,
   /// trading connects Companies, no trading self-loops).

@@ -28,17 +28,6 @@ constexpr NodeId kParallelWccMinNodes = 1u << 13;
 
 }  // namespace
 
-WccResult WeaklyConnectedComponents(const Digraph& graph,
-                                    const ArcFilter& filter) {
-  TPIIN_SPAN("wcc");
-  UnionFind uf(graph.NumNodes());
-  for (const Arc& arc : graph.arcs()) {
-    if (filter && !filter(arc)) continue;
-    uf.Union(arc.src, arc.dst);
-  }
-  return FromUnionFind(uf, graph.NumNodes());
-}
-
 WccResult WeaklyConnectedComponents(const FrozenGraph& graph,
                                     FrozenArcClass arc_class) {
   TPIIN_SPAN("wcc");

@@ -3,9 +3,7 @@
 
 #include <vector>
 
-#include "graph/digraph.h"
 #include "graph/frozen.h"
-#include "graph/scc.h"
 #include "graph/types.h"
 
 namespace tpiin {
@@ -19,18 +17,11 @@ struct WccResult {
   std::vector<std::vector<NodeId>> members;
 };
 
-/// Weakly connected components over the arcs accepted by `filter` (all
-/// arcs when null); nodes touched by no accepted arc form singleton
-/// components. This implements the MWCS segmentation of Algorithm 1
-/// step 3 (union-find rather than the paper's improved DFS — identical
-/// output, simpler to reason about; the DFS variant is benchmarked in
-/// bench_ablation).
-WccResult WeaklyConnectedComponents(const Digraph& graph,
-                                    const ArcFilter& filter = nullptr);
-
-/// CSR fast path: same decomposition over the arc class `arc_class` of a
-/// frozen graph. Component numbering and member ordering are identical
-/// to the Digraph overload with the corresponding filter — union-find
+/// Weakly connected components over the arc class `arc_class`; nodes
+/// touched by no such arc form singleton components. This implements
+/// the MWCS segmentation of Algorithm 1 step 3 (union-find rather than
+/// the paper's improved DFS — identical output, simpler to reason about;
+/// the DFS variant is benchmarked in bench_ablation). Union-find
 /// component ids depend only on the partition, not on union order.
 WccResult WeaklyConnectedComponents(
     const FrozenGraph& graph,
@@ -39,7 +30,7 @@ WccResult WeaklyConnectedComponents(
 /// Parallel driver: splits the node range into per-worker chunks, unions
 /// each chunk's out-arcs into a private forest on the shared ThreadPool,
 /// and merges the forests serially. Output (numbering and member order
-/// included) is bit-identical to the serial overloads at any thread
+/// included) is bit-identical to the serial overload at any thread
 /// count, because the union-find partition — and the first-appearance
 /// numbering derived from it — depends only on the arc set.
 WccResult WeaklyConnectedComponents(const FrozenGraph& graph,

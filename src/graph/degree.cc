@@ -4,32 +4,6 @@
 
 namespace tpiin {
 
-DegreeStats ComputeDegreeStats(const Digraph& graph,
-                               const ArcFilter& filter) {
-  const NodeId n = graph.NumNodes();
-  std::vector<uint32_t> in(n, 0);
-  std::vector<uint32_t> out(n, 0);
-  ArcId arcs = 0;
-  for (const Arc& arc : graph.arcs()) {
-    if (filter && !filter(arc)) continue;
-    ++out[arc.src];
-    ++in[arc.dst];
-    ++arcs;
-  }
-  DegreeStats stats;
-  stats.num_nodes = n;
-  stats.num_arcs = arcs;
-  stats.average_degree = n == 0 ? 0.0 : static_cast<double>(arcs) / n;
-  for (NodeId v = 0; v < n; ++v) {
-    stats.max_in_degree = std::max(stats.max_in_degree, in[v]);
-    stats.max_out_degree = std::max(stats.max_out_degree, out[v]);
-    if (in[v] == 0) ++stats.num_indegree_zero;
-    if (out[v] == 0) ++stats.num_outdegree_zero;
-    if (in[v] == 0 && out[v] == 0) ++stats.num_isolated;
-  }
-  return stats;
-}
-
 DegreeStats ComputeDegreeStats(const FrozenGraph& graph,
                                FrozenArcClass arc_class) {
   const NodeId n = graph.NumNodes();

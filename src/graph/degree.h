@@ -3,14 +3,12 @@
 
 #include <cstdint>
 
-#include "graph/digraph.h"
 #include "graph/frozen.h"
-#include "graph/scc.h"
 
 namespace tpiin {
 
-/// Summary statistics over a (possibly arc-filtered) digraph, matching
-/// the quantities reported in the paper's network figures and Table 1
+/// Summary statistics over one arc class of a graph, matching the
+/// quantities reported in the paper's network figures and Table 1
 /// ("average node degree" is Gephi's |E|/|V| for directed graphs).
 struct DegreeStats {
   NodeId num_nodes = 0;
@@ -20,18 +18,12 @@ struct DegreeStats {
   uint32_t max_out_degree = 0;
   NodeId num_indegree_zero = 0;
   NodeId num_outdegree_zero = 0;
-  NodeId num_isolated = 0;  // Zero degree under the filter.
+  NodeId num_isolated = 0;  // Zero degree within the arc class.
 };
 
-DegreeStats ComputeDegreeStats(const Digraph& graph,
-                               const ArcFilter& filter = nullptr);
-
-/// Same statistics over one arc class of a frozen CSR view. Output is
-/// identical to the Digraph overload with the corresponding color
-/// filter; this is the only overload usable on snapshot-backed networks
-/// (which carry no Digraph).
-DegreeStats ComputeDegreeStats(const FrozenGraph& graph,
-                               FrozenArcClass arc_class);
+DegreeStats ComputeDegreeStats(
+    const FrozenGraph& graph,
+    FrozenArcClass arc_class = FrozenArcClass::kAll);
 
 }  // namespace tpiin
 

@@ -6,14 +6,13 @@
 #include <vector>
 
 #include "common/column.h"
-#include "graph/digraph.h"
 #include "graph/types.h"
 
 namespace tpiin {
 
 /// A pair of parallel spans over one node's adjacency run: `nodes[i]` is
 /// the neighbor (target for out-adjacency, source for in-adjacency) and
-/// `arcs[i]` the original Digraph arc id of that edge.
+/// `arcs[i]` the arc-table id of that edge.
 struct AdjSpan {
   std::span<const NodeId> nodes;
   std::span<const ArcId> arcs;
@@ -22,45 +21,46 @@ struct AdjSpan {
   bool empty() const { return nodes.empty(); }
 };
 
-/// Which arcs a FrozenGraph-based algorithm walks. Replaces the
-/// std::function ArcFilter on the hot paths: the only filters the miner
-/// ever needs are "everything", "the partition color" and "the rest",
-/// and all three resolve to precomputed span boundaries.
+/// Which arcs a FrozenGraph-based algorithm walks. The only filters the
+/// miner ever needs are "everything", "the partition color" and "the
+/// rest", and all three resolve to precomputed span boundaries.
 enum class FrozenArcClass : uint8_t { kAll, kInfluence, kTrading };
 
-/// An immutable CSR (compressed sparse row) view of a Digraph with each
-/// node's adjacency partitioned by color.
+/// An immutable CSR (compressed sparse row) directed multigraph with
+/// each node's adjacency partitioned by color — the one graph type of
+/// the codebase.
 ///
 /// Layout: one contiguous offsets/targets/arc-ids triple per direction.
 /// Within a node's out (and in) run, arcs whose color equals the
 /// partition color come first, so the two color classes are addressable
 /// as branch-free subspans — hot loops take `InfluenceOut(v)` /
 /// `TradingOut(v)` and never load an Arc struct or test ArcColor per
-/// edge. Arc ids are the original Digraph ids, so results map back
-/// without translation.
+/// edge. Arc ids are the ids of the arc table the graph was built from,
+/// so results map back without translation.
 ///
 /// The graph layer treats the partition color as opaque; the canonical
 /// TPIIN palette (fusion/tpiin.h) puts influence arcs at color 1 and
 /// trading arcs at color 0, hence the method names and the default.
 ///
-/// Relative arc order is preserved within each color class of each
-/// node's out run (matching Digraph insertion order). TPIINs and
-/// subTPIINs add all influence arcs before any trading arc, so for them
-/// the full out run is in exactly the Digraph's order — traversals over
-/// the frozen view visit arcs in the same order as the adjacency-list
-/// path, which keeps detection output bit-identical (asserted by
-/// tests/core/frozen_equivalence_test.cc).
+/// Within each color class, a node's out run and its in run both list
+/// arcs in ascending arc id. TPIINs and subTPIINs number all influence
+/// arcs before any trading arc, so for them a node's whole out run is
+/// in arc-id order — the visit order the byte-identity contracts of
+/// detection, the snapshot and the exporters rest on (pinned by
+/// tests/integration/golden_digest_test.cc).
 class FrozenGraph {
  public:
   FrozenGraph() = default;
 
-  /// Builds the CSR view; `influence_color` selects the partition color.
-  /// With num_threads > 1 the out and in halves — which touch disjoint
-  /// arrays and only read the Digraph — are built as two concurrent
-  /// tasks on the shared ThreadPool; the resulting CSR is identical at
-  /// any thread count.
-  explicit FrozenGraph(const Digraph& graph, ArcColor influence_color = 1,
-                       uint32_t num_threads = 1);
+  /// Builds the CSR from an arc table: `arcs[id]` is arc `id`, and both
+  /// endpoints must be below `num_nodes`. Parallel arcs and self-loops
+  /// are kept. `influence_color` selects the partition color. The out
+  /// half is a stable counting sort of the table by `src`, the in half
+  /// by `dst`; with num_threads > 1 the two halves — disjoint arrays,
+  /// read-only input — run as concurrent tasks on the shared ThreadPool,
+  /// and the resulting CSR is identical at any thread count.
+  FrozenGraph(NodeId num_nodes, std::span<const Arc> arcs,
+              ArcColor influence_color = 1, uint32_t num_threads = 1);
 
   /// The eight CSR arrays as raw spans, in a fixed order shared with
   /// FromParts. The snapshot writer serializes these verbatim; no other
@@ -155,18 +155,7 @@ class FrozenGraph {
     }
   }
 
-  /// Reconstructs the arc table in arc-id order from the CSR out spans:
-  /// row `id` is {src, dst, color}, where partition-color arcs get
-  /// `influence_color()` and the rest `other_color`. Exporters that must
-  /// emit arcs in id order (edge lists, DOT/GEXF) use this instead of
-  /// keeping the Digraph alive; for two-color graphs such as TPIINs the
-  /// result equals the original Digraph arc table byte for byte.
-  std::vector<Arc> ArcsInIdOrder(ArcColor other_color) const;
-
  private:
-  void BuildOut(const Digraph& graph);
-  void BuildIn(const Digraph& graph);
-
   static AdjSpan Slice(const Col<NodeId>& nodes, const Col<ArcId>& arcs,
                        ArcId begin, ArcId end) {
     return AdjSpan{{nodes.data() + begin, nodes.data() + end},
@@ -180,7 +169,8 @@ class FrozenGraph {
 
   // Out CSR: node v's arcs live at [out_offsets_[v], out_offsets_[v+1]),
   // with the influence run ending at out_influence_end_[v]. Columns are
-  // owned when built from a Digraph, borrowed when bound to a snapshot.
+  // owned when built from an arc table, borrowed when bound to a
+  // snapshot.
   Col<ArcId> out_offsets_;       // num_nodes_ + 1
   Col<ArcId> out_influence_end_; // num_nodes_
   Col<NodeId> out_targets_;      // num_arcs_

@@ -23,13 +23,12 @@ struct Frame {
 
 // Tarjan over any indexed adjacency view:
 //   view.Degree(v)  — number of out slots of v;
-//   view.Dst(v, i)  — target of slot i, or kInvalidNode for a slot the
-//                     arc filter rejects (skipped).
-// Both the Digraph and the FrozenGraph overloads funnel here so the two
-// stay behaviorally identical by construction. When `completion_root` is
-// non-null it receives, per emitted component, the DFS tree root the
-// component completed under — the partition-parallel driver uses these
-// tags to restore the serial numbering.
+//   view.Dst(v, i)  — target of slot i.
+// The whole-graph and the per-partition views funnel here so the serial
+// and parallel drivers stay behaviorally identical by construction. When
+// `completion_root` is non-null it receives, per emitted component, the
+// DFS tree root the component completed under — the partition-parallel
+// driver uses these tags to restore the serial numbering.
 template <typename View>
 SccResult TarjanImpl(NodeId n, const View& view,
                      std::vector<NodeId>* completion_root = nullptr) {
@@ -59,7 +58,6 @@ SccResult TarjanImpl(NodeId n, const View& view,
       while (frame.arc_pos < degree) {
         NodeId v = view.Dst(u, frame.arc_pos);
         ++frame.arc_pos;
-        if (v == kInvalidNode) continue;  // Filtered arc.
         if (v == u) has_self_loop[u] = true;
         if (index[v] == kUnvisited) {
           index[v] = lowlink[v] = next_index++;
@@ -108,18 +106,6 @@ SccResult TarjanImpl(NodeId n, const View& view,
   return result;
 }
 
-struct DigraphView {
-  const Digraph& graph;
-  const ArcFilter& filter;
-
-  uint32_t Degree(NodeId v) const { return graph.OutDegree(v); }
-  NodeId Dst(NodeId v, uint32_t i) const {
-    const Arc& arc = graph.arc(graph.OutArcs(v)[i]);
-    if (filter && !filter(arc)) return kInvalidNode;
-    return arc.dst;
-  }
-};
-
 struct FrozenView {
   const FrozenGraph& graph;
   FrozenArcClass arc_class;
@@ -157,12 +143,6 @@ struct PartitionView {
 constexpr NodeId kParallelSccMinNodes = 1u << 13;
 
 }  // namespace
-
-SccResult StronglyConnectedComponents(const Digraph& graph,
-                                      const ArcFilter& filter) {
-  TPIIN_SPAN("scc");
-  return TarjanImpl(graph.NumNodes(), DigraphView{graph, filter});
-}
 
 SccResult StronglyConnectedComponents(const FrozenGraph& graph,
                                       FrozenArcClass arc_class) {

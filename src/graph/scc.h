@@ -1,10 +1,8 @@
 #ifndef TPIIN_GRAPH_SCC_H_
 #define TPIIN_GRAPH_SCC_H_
 
-#include <functional>
 #include <vector>
 
-#include "graph/digraph.h"
 #include "graph/frozen.h"
 #include "graph/types.h"
 
@@ -23,26 +21,13 @@ struct SccResult {
   std::vector<std::vector<NodeId>> members;
 
   /// Ids of components with more than one node, or with a self-loop arc
-  /// that passed the filter. These are the "strongly connected subgraphs"
+  /// of the walked class. These are the "strongly connected subgraphs"
   /// (SCS) the paper contracts into Company syndicates.
   std::vector<NodeId> nontrivial_components;
 };
 
-/// Predicate deciding which arcs participate in the decomposition; the
-/// fusion layer uses this to run Tarjan over Investment arcs only
-/// (influence arcs from Person nodes can never close a cycle, but the
-/// intermediate G_B carries both).
-using ArcFilter = std::function<bool(const Arc&)>;
-
-/// Iterative Tarjan SCC over the arcs accepted by `filter` (all arcs when
-/// filter is null). O(V + E); recursion-free so million-node provinces
-/// cannot overflow the stack.
-SccResult StronglyConnectedComponents(const Digraph& graph,
-                                      const ArcFilter& filter = nullptr);
-
-/// CSR fast path: identical decomposition (and, when the frozen view
-/// preserves the Digraph's arc order, identical component numbering)
-/// without per-arc struct loads or std::function filter calls.
+/// Iterative Tarjan SCC over one arc class of the graph. O(V + E);
+/// recursion-free so million-node provinces cannot overflow the stack.
 SccResult StronglyConnectedComponents(
     const FrozenGraph& graph,
     FrozenArcClass arc_class = FrozenArcClass::kAll);

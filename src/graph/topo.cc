@@ -4,36 +4,6 @@
 
 namespace tpiin {
 
-Result<std::vector<NodeId>> TopologicalSort(const Digraph& graph,
-                                            const ArcFilter& filter) {
-  const NodeId n = graph.NumNodes();
-  std::vector<uint32_t> in_degree(n, 0);
-  for (const Arc& arc : graph.arcs()) {
-    if (filter && !filter(arc)) continue;
-    ++in_degree[arc.dst];
-  }
-  std::deque<NodeId> frontier;
-  for (NodeId v = 0; v < n; ++v) {
-    if (in_degree[v] == 0) frontier.push_back(v);
-  }
-  std::vector<NodeId> order;
-  order.reserve(n);
-  while (!frontier.empty()) {
-    NodeId u = frontier.front();
-    frontier.pop_front();
-    order.push_back(u);
-    for (ArcId id : graph.OutArcs(u)) {
-      const Arc& arc = graph.arc(id);
-      if (filter && !filter(arc)) continue;
-      if (--in_degree[arc.dst] == 0) frontier.push_back(arc.dst);
-    }
-  }
-  if (order.size() != n) {
-    return Status::FailedPrecondition("graph has a directed cycle");
-  }
-  return order;
-}
-
 Result<std::vector<NodeId>> TopologicalSort(const FrozenGraph& graph,
                                             FrozenArcClass arc_class) {
   const NodeId n = graph.NumNodes();
@@ -58,10 +28,6 @@ Result<std::vector<NodeId>> TopologicalSort(const FrozenGraph& graph,
     return Status::FailedPrecondition("graph has a directed cycle");
   }
   return order;
-}
-
-bool IsDag(const Digraph& graph, const ArcFilter& filter) {
-  return TopologicalSort(graph, filter).ok();
 }
 
 bool IsDag(const FrozenGraph& graph, FrozenArcClass arc_class) {

@@ -4,32 +4,19 @@
 #include <vector>
 
 #include "common/result.h"
-#include "graph/digraph.h"
 #include "graph/frozen.h"
-#include "graph/scc.h"
 #include "graph/types.h"
 
 namespace tpiin {
 
-/// Kahn topological order over the arcs accepted by `filter` (all arcs
-/// when null). Returns FailedPrecondition if the filtered graph has a
-/// cycle.
-Result<std::vector<NodeId>> TopologicalSort(const Digraph& graph,
-                                            const ArcFilter& filter = nullptr);
-
-/// CSR fast path: Kahn order over one arc class of a frozen graph, with
-/// no per-arc struct loads or std::function filter calls. For the
-/// kInfluence class the emitted order is identical to the Digraph
-/// overload with an influence filter (per-node span order matches
-/// insertion order).
+/// Kahn topological order over one arc class of the graph. Returns
+/// FailedPrecondition if that class has a cycle.
 Result<std::vector<NodeId>> TopologicalSort(
     const FrozenGraph& graph,
     FrozenArcClass arc_class = FrozenArcClass::kAll);
 
-/// True iff the filtered graph is acyclic. Used to verify the antecedent
+/// True iff the arc class is acyclic. Used to verify the antecedent
 /// network after SCC contraction (the paper's DAG guarantee).
-bool IsDag(const Digraph& graph, const ArcFilter& filter = nullptr);
-
 bool IsDag(const FrozenGraph& graph,
            FrozenArcClass arc_class = FrozenArcClass::kAll);
 

@@ -6,27 +6,6 @@
 
 namespace tpiin {
 
-std::vector<bool> ReachableFrom(const Digraph& graph, NodeId start,
-                                const ArcFilter& filter) {
-  TPIIN_CHECK(graph.HasNode(start));
-  std::vector<bool> seen(graph.NumNodes(), false);
-  std::vector<NodeId> stack = {start};
-  seen[start] = true;
-  while (!stack.empty()) {
-    NodeId u = stack.back();
-    stack.pop_back();
-    for (ArcId id : graph.OutArcs(u)) {
-      const Arc& arc = graph.arc(id);
-      if (filter && !filter(arc)) continue;
-      if (!seen[arc.dst]) {
-        seen[arc.dst] = true;
-        stack.push_back(arc.dst);
-      }
-    }
-  }
-  return seen;
-}
-
 std::vector<bool> ReachableFrom(const FrozenGraph& graph, NodeId start,
                                 FrozenArcClass arc_class) {
   TPIIN_CHECK(start < graph.NumNodes());
@@ -44,42 +23,6 @@ std::vector<bool> ReachableFrom(const FrozenGraph& graph, NodeId start,
     }
   }
   return seen;
-}
-
-WccResult FindSubgraphsDfs(const Digraph& graph, const ArcFilter& filter) {
-  const NodeId n = graph.NumNodes();
-  // Build the undirected view once: forward plus reverse adjacency
-  // restricted to accepted arcs.
-  std::vector<std::vector<NodeId>> adj(n);
-  for (const Arc& arc : graph.arcs()) {
-    if (filter && !filter(arc)) continue;
-    adj[arc.src].push_back(arc.dst);
-    adj[arc.dst].push_back(arc.src);
-  }
-
-  WccResult result;
-  result.component_of.assign(n, kInvalidNode);
-  std::vector<NodeId> stack;
-  for (NodeId root = 0; root < n; ++root) {
-    if (result.component_of[root] != kInvalidNode) continue;
-    NodeId comp = result.num_components++;
-    result.members.emplace_back();
-    stack.push_back(root);
-    result.component_of[root] = comp;
-    while (!stack.empty()) {
-      NodeId u = stack.back();
-      stack.pop_back();
-      result.members[comp].push_back(u);
-      for (NodeId v : adj[u]) {
-        if (result.component_of[v] == kInvalidNode) {
-          result.component_of[v] = comp;
-          stack.push_back(v);
-        }
-      }
-    }
-    std::sort(result.members[comp].begin(), result.members[comp].end());
-  }
-  return result;
 }
 
 WccResult FindSubgraphsDfs(const FrozenGraph& graph,

@@ -4,30 +4,20 @@
 #include <vector>
 
 #include "graph/connected.h"
-#include "graph/digraph.h"
-#include "graph/scc.h"
 #include "graph/types.h"
 
 namespace tpiin {
 
-/// Nodes reachable from `start` by directed arcs accepted by `filter`
-/// (start itself included).
-std::vector<bool> ReachableFrom(const Digraph& graph, NodeId start,
-                                const ArcFilter& filter = nullptr);
-
-/// CSR fast path of ReachableFrom over one arc class.
+/// Nodes reachable from `start` by directed arcs of one class (start
+/// itself included).
 std::vector<bool> ReachableFrom(const FrozenGraph& graph, NodeId start,
                                 FrozenArcClass arc_class = FrozenArcClass::kAll);
 
 /// The paper's `findsubgraph()` (Appendix B): weakly connected components
-/// by depth-first search over the undirected view of the filtered arcs.
-/// Produces the same decomposition as WeaklyConnectedComponents; kept as
-/// a faithful alternative implementation and for the ablation bench.
-WccResult FindSubgraphsDfs(const Digraph& graph,
-                           const ArcFilter& filter = nullptr);
-
-/// CSR fast path of FindSubgraphsDfs: walks the frozen out- and
-/// in-adjacency directly instead of materializing an undirected copy.
+/// by depth-first search over the out- and in-adjacency of one arc
+/// class. Produces the same decomposition as WeaklyConnectedComponents;
+/// kept as a faithful alternative implementation and for the ablation
+/// bench.
 WccResult FindSubgraphsDfs(const FrozenGraph& graph,
                            FrozenArcClass arc_class = FrozenArcClass::kAll);
 

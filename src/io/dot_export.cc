@@ -1,7 +1,6 @@
 #include "io/dot_export.h"
 
 #include "common/atomic_file.h"
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "fusion/layers.h"
 
@@ -50,10 +49,8 @@ std::string TpiinToDot(const Tpiin& net, const std::string& graph_name) {
         DotEscape(node.label).c_str(), is_company ? "box" : "ellipse",
         is_company ? "red" : "black", is_company ? "red" : "black");
   }
-  // ArcsInIdOrder reconstructs the arc table from the frozen CSR view in
-  // arc-id order, so the emitted edge lines match the adjacency-list
-  // output byte for byte.
-  for (const Arc& arc : net.frozen().ArcsInIdOrder(kArcTrading)) {
+  for (ArcId id = 0; id < net.NumArcs(); ++id) {
+    const Arc arc = net.arc(id);
     out += StringPrintf("  n%u -> n%u [color=%s];\n", arc.src, arc.dst,
                         IsInfluenceArc(arc) ? "blue" : "black");
   }
@@ -61,44 +58,18 @@ std::string TpiinToDot(const Tpiin& net, const std::string& graph_name) {
   return out;
 }
 
-std::string LayerToDot(const Digraph& graph,
-                       const std::vector<std::string>& labels,
-                       const std::string& graph_name) {
-  // Freeze on the first arc color seen; the CSR partition keeps the
-  // second color (if any) addressable as the "other" class. Layer
-  // graphs never carry more than two colors, which the reconstruction
-  // below relies on, so check rather than silently miscolor.
-  ArcColor first_color = 1;
-  ArcColor other_color = 0;
-  bool have_first = false;
-  bool have_other = false;
-  for (const Arc& arc : graph.arcs()) {
-    if (!have_first) {
-      first_color = arc.color;
-      have_first = true;
-    } else if (arc.color != first_color) {
-      TPIIN_CHECK(!have_other || arc.color == other_color)
-          << "LayerToDot supports at most two arc colors";
-      other_color = arc.color;
-      have_other = true;
-    }
-  }
-  return LayerToDot(FrozenGraph(graph, first_color), other_color, labels,
-                    graph_name);
-}
-
-std::string LayerToDot(const FrozenGraph& graph, ArcColor other_color,
+std::string LayerToDot(NodeId num_nodes, std::span<const Arc> arcs,
                        const std::vector<std::string>& labels,
                        const std::string& graph_name) {
   std::string out = "digraph \"" + DotEscape(graph_name) + "\" {\n";
   out += "  node [fontsize=10, shape=circle];\n";
-  for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+  for (NodeId v = 0; v < num_nodes; ++v) {
     std::string label =
         v < labels.size() ? labels[v] : StringPrintf("%u", v);
     out += StringPrintf("  n%u [label=\"%s\"];\n", v,
                         DotEscape(label).c_str());
   }
-  for (const Arc& arc : graph.ArcsInIdOrder(other_color)) {
+  for (const Arc& arc : arcs) {
     // Interdependence links are unidirectional (undirected) edges in the
     // paper; render without arrowheads.
     bool undirected =

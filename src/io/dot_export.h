@@ -1,13 +1,13 @@
 #ifndef TPIIN_IO_DOT_EXPORT_H_
 #define TPIIN_IO_DOT_EXPORT_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "fusion/tpiin.h"
-#include "graph/digraph.h"
-#include "graph/frozen.h"
+#include "graph/types.h"
 
 namespace tpiin {
 
@@ -16,20 +16,10 @@ namespace tpiin {
 /// arcs (Figs. 11-16 legend).
 std::string TpiinToDot(const Tpiin& net, const std::string& graph_name);
 
-/// Renders a homogeneous layer graph (G1/G2/GI/G4) with per-color edge
-/// styling; `labels` supplies node captions (empty -> node indices).
-/// The graph may use at most two arc colors (the CSR partition limit);
-/// every layer graph does — G1 has kinship + interlocking, the others a
-/// single color.
-std::string LayerToDot(const Digraph& graph,
-                       const std::vector<std::string>& labels,
-                       const std::string& graph_name);
-
-/// CSR-view variant: arcs are reconstructed in id order from the frozen
-/// out spans (partition-color arcs render as `graph.influence_color()`,
-/// the rest as `other_color`), so the DOT output is byte-identical to
-/// the Digraph overload above.
-std::string LayerToDot(const FrozenGraph& graph, ArcColor other_color,
+/// Renders a homogeneous layer graph (G1/G2/GI/G4) from its arc table
+/// (fusion/layers.h) with per-color edge styling, one edge line per arc
+/// in id order; `labels` supplies node captions (empty -> node indices).
+std::string LayerToDot(NodeId num_nodes, std::span<const Arc> arcs,
                        const std::vector<std::string>& labels,
                        const std::string& graph_name);
 

@@ -23,11 +23,10 @@ Status WriteTpiinEdgeList(const std::string& path, const Tpiin& net) {
         << (node.color == NodeColor::kPerson ? 'P' : 'C') << ' '
         << node.label << "\n";
   }
-  const std::vector<Arc> arcs = net.frozen().ArcsInIdOrder(kArcTrading);
-  out << "arcs " << arcs.size() << ' '
+  out << "arcs " << net.NumArcs() << ' '
       << (net.num_influence_arcs() + 1) << "\n";
-  for (ArcId id = 0; id < arcs.size(); ++id) {
-    const Arc& arc = arcs[id];
+  for (ArcId id = 0; id < net.NumArcs(); ++id) {
+    const Arc arc = net.arc(id);
     out << arc.src << ' ' << arc.dst << ' ' << arc.color << ' '
         << StringPrintf("%.17g", net.ArcWeight(id)) << "\n";
   }

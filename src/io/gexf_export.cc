@@ -52,14 +52,13 @@ std::string TpiinToGexf(const Tpiin& net) {
         v, XmlEscape(node.label).c_str(), is_company ? 255 : 0);
   }
   out += "    </nodes>\n    <edges>\n";
-  ArcId edge_id = 0;
-  for (const Arc& arc : net.frozen().ArcsInIdOrder(kArcTrading)) {
+  for (ArcId id = 0; id < net.NumArcs(); ++id) {
+    const Arc arc = net.arc(id);
     out += StringPrintf(
         "      <edge id=\"%u\" source=\"%u\" target=\"%u\">"
         "<attvalues><attvalue for=\"0\" value=\"%s\"/></attvalues>"
         "</edge>\n",
-        edge_id++, arc.src, arc.dst,
-        IsInfluenceArc(arc) ? "influence" : "trading");
+        id, arc.src, arc.dst, IsInfluenceArc(arc) ? "influence" : "trading");
   }
   out += "    </edges>\n  </graph>\n</gexf>\n";
   return out;

@@ -321,22 +321,21 @@ Response QueryService::HandleRescore(const Request& request,
 
   bool degraded = false;
   if ((budget.max_sub_nodes != 0 &&
-       sub.graph.NumNodes() > budget.max_sub_nodes) ||
+       sub.frozen.NumNodes() > budget.max_sub_nodes) ||
       (budget.max_sub_arcs != 0 &&
-       sub.graph.NumArcs() > budget.max_sub_arcs)) {
+       sub.frozen.NumArcs() > budget.max_sub_arcs)) {
     // The detector would skip this subTPIIN whole; say so instead of
     // mining past the caller's own cap.
     std::string payload = StringPrintf(
         "subTPIIN %lld of %zu: %u nodes, %u arcs — skipped (over budget "
         "cap)\n",
         static_cast<long long>(request.sub), subs.size(),
-        sub.graph.NumNodes(), sub.graph.NumArcs());
+        sub.frozen.NumNodes(), sub.frozen.NumArcs());
     return PayloadResponse(request, std::move(payload), /*degraded=*/true);
   }
 
   PatternGenOptions gen_options;
   gen_options.emit_trails = false;
-  gen_options.use_frozen_graph = true;
   gen_options.deadline = Deadline::Sooner(
       Deadline::After(budget.deadline_seconds),
       Deadline::After(budget.sub_slice_seconds));
@@ -355,7 +354,7 @@ Response QueryService::HandleRescore(const Request& request,
       "trading)\ntrails: %zu, groups: %zu simple, %zu complex, %zu "
       "cycle\n",
       static_cast<long long>(request.sub), subs.size(),
-      sub.graph.NumNodes(), sub.graph.NumArcs(), sub.num_influence_arcs,
+      sub.frozen.NumNodes(), sub.frozen.NumArcs(), sub.num_influence_arcs,
       sub.num_trading_arcs(), gen->num_trails, match.num_simple,
       match.num_complex, match.num_cycle_groups);
   payload += RenderSuspiciousGroups(net_, match.groups);

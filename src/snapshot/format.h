@@ -60,7 +60,7 @@ enum class SectionId : uint32_t {
   kCompanyMembers = 16,
   kInternalInvestmentOffsets = 17,
   kInternalInvestments = 18,
-  // Arc attribute columns. src/dst substitute for the dropped Digraph.
+  // The arc table: weight, src and dst per arc id.
   kArcWeight = 19,
   kArcSrc = 20,
   kArcDst = 21,

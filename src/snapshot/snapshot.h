@@ -39,9 +39,9 @@ struct SnapshotOpenOptions {
 /// no per-node or per-arc work, no allocation proportional to the graph.
 ///
 /// The view owns the mapping; `net()` and everything derived from it
-/// (spans, labels, AdjSpans) die with the view. net().has_graph() is
-/// false — algorithm code reads frozen() and arc(), which the detection
-/// stack does throughout.
+/// (spans, labels, AdjSpans) die with the view. The network has the same
+/// shape as a fused one — arc table plus CSR — so every algorithm runs
+/// on it unchanged.
 class SnapshotView {
  public:
   static Result<std::unique_ptr<SnapshotView>> Open(

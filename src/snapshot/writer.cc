@@ -42,25 +42,6 @@ Status SnapshotCodec::Write(const Tpiin& net, const std::string& path,
   const uint64_t n = net.NumNodes();
   const uint64_t m = net.NumArcs();
 
-  // Arc endpoint columns substitute for the Digraph in the snapshot;
-  // materialize them from the adjacency store (or reuse the columns when
-  // re-snapshotting a snapshot-backed network).
-  std::vector<NodeId> arc_src_storage;
-  std::vector<NodeId> arc_dst_storage;
-  const NodeId* arc_src = net.arc_src_.data();
-  const NodeId* arc_dst = net.arc_dst_.data();
-  if (net.has_graph_) {
-    arc_src_storage.resize(m);
-    arc_dst_storage.resize(m);
-    for (ArcId id = 0; id < m; ++id) {
-      const Arc& arc = net.graph_.arc(id);
-      arc_src_storage[id] = arc.src;
-      arc_dst_storage[id] = arc.dst;
-    }
-    arc_src = arc_src_storage.data();
-    arc_dst = arc_dst_storage.data();
-  }
-
   // Segmentation index: the same WCC run SegmentTpiin would do at every
   // detection, done once here. Numbering is a pure function of the arc
   // set, so loading it later reproduces the CSV path bit for bit.
@@ -136,8 +117,10 @@ Status SnapshotCodec::Write(const Tpiin& net, const std::string& path,
                                  net.internal_investments_.size()));
   payloads.push_back(
       MakePayload(SectionId::kArcWeight, net.arc_weight_.data(), m));
-  payloads.push_back(MakePayload(SectionId::kArcSrc, arc_src, m));
-  payloads.push_back(MakePayload(SectionId::kArcDst, arc_dst, m));
+  payloads.push_back(
+      MakePayload(SectionId::kArcSrc, net.arc_src_.data(), m));
+  payloads.push_back(
+      MakePayload(SectionId::kArcDst, net.arc_dst_.data(), m));
   payloads.push_back(MakePayload(SectionId::kPersonNode,
                                  net.person_node_.data(),
                                  net.person_node_.size()));

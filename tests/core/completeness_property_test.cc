@@ -18,10 +18,9 @@ namespace {
 
 // Structural soundness of one group against the TPIIN (Definition 2/3).
 void VerifyGroup(const Tpiin& net, const SuspiciousGroup& group) {
-  const Digraph& g = net.graph();
   auto has_arc = [&](NodeId src, NodeId dst, bool trading) {
-    for (ArcId id : g.OutArcs(src)) {
-      const Arc& arc = g.arc(id);
+    for (ArcId id : net.frozen().Out(src).arcs) {
+      const Arc arc = net.arc(id);
       if (arc.dst == dst && IsTradingArc(arc) == trading) return true;
     }
     return false;

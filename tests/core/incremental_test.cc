@@ -79,9 +79,9 @@ TEST_P(IncrementalPropertyTest, AgreesWithDetectorArcSet) {
       detection->suspicious_trades.end());
 
   IncrementalScreener screener(net);
-  for (ArcId id = net.num_influence_arcs(); id < net.graph().NumArcs();
+  for (ArcId id = net.num_influence_arcs(); id < net.NumArcs();
        ++id) {
-    const Arc& arc = net.graph().arc(id);
+    const Arc& arc = net.arc(id);
     EXPECT_EQ(screener.IsSuspicious(arc.src, arc.dst),
               suspicious.count({arc.src, arc.dst}) > 0)
         << "arc " << net.Label(arc.src) << " -> " << net.Label(arc.dst);

@@ -102,9 +102,10 @@ TEST(PatternTreeTest, Rule2StopsAtFirstTradingArcOnly) {
 TEST(PatternTreeTest, TrailsStartAtInfluenceIndegreeZeroNodes) {
   Tpiin net = RandomTpiin(99);
   for (const SubTpiin& sub : SegmentTpiin(net)) {
-    std::vector<uint32_t> influence_in(sub.graph.NumNodes(), 0);
+    const std::vector<Arc> arcs = LocalArcTable(sub);
+    std::vector<uint32_t> influence_in(sub.frozen.NumNodes(), 0);
     for (ArcId id = 0; id < sub.num_influence_arcs; ++id) {
-      ++influence_in[sub.graph.arc(id).dst];
+      ++influence_in[arcs[id].dst];
     }
     auto gen = GeneratePatternBase(sub);
     ASSERT_TRUE(gen.ok());
@@ -120,6 +121,7 @@ TEST(PatternTreeTest, TrailsAreSimplePathsPlusOptionalTrade) {
     for (const SubTpiin& sub : SegmentTpiin(net)) {
       auto gen = GeneratePatternBase(sub);
       ASSERT_TRUE(gen.ok());
+      const std::vector<Arc> arcs = LocalArcTable(sub);
       for (const auto& t : gen->base) {
         // Elements are distinct (Property 1).
         std::set<NodeId> unique(t.nodes.begin(), t.nodes.end());
@@ -128,14 +130,14 @@ TEST(PatternTreeTest, TrailsAreSimplePathsPlusOptionalTrade) {
         // any) is a trading arc.
         for (size_t i = 1; i < t.nodes.size(); ++i) {
           bool found = false;
-          for (ArcId id : sub.graph.OutArcs(t.nodes[i - 1])) {
-            const Arc& arc = sub.graph.arc(id);
+          for (ArcId id : sub.frozen.Out(t.nodes[i - 1]).arcs) {
+            const Arc& arc = arcs[id];
             if (arc.dst == t.nodes[i] && IsInfluenceArc(arc)) found = true;
           }
           EXPECT_TRUE(found);
         }
         if (t.has_trade()) {
-          const Arc& arc = sub.graph.arc(t.trade_arc);
+          const Arc& arc = arcs[t.trade_arc];
           EXPECT_TRUE(IsTradingArc(arc));
           EXPECT_EQ(arc.src, t.seller());
           EXPECT_EQ(arc.dst, t.trade_dst);
@@ -217,10 +219,10 @@ TEST(PatternTreeTest, CyclicInfluenceRejected) {
   Tpiin net = DiamondNet();  // Parent only for labels.
   SubTpiin sub;
   sub.parent = &net;
-  sub.graph.AddNodes(2);
   sub.global_of_local = {1, 2};  // Company labels C1, C2.
-  sub.graph.AddArc(0, 1, kArcInfluence);
-  sub.graph.AddArc(1, 0, kArcInfluence);
+  sub.frozen = FrozenGraph(
+      2, std::vector<Arc>{{0, 1, kArcInfluence}, {1, 0, kArcInfluence}},
+      kArcInfluence);
   sub.num_influence_arcs = 2;
   sub.global_arc_of_local = {0, 1};
   auto gen = GeneratePatternBase(sub);

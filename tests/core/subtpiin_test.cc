@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
+#include "tests/core/test_util.h"
 
 namespace tpiin {
 namespace {
@@ -38,7 +39,7 @@ TEST(SegmentTest, CrossComponentTradesAreDropped) {
   EXPECT_EQ(stats.trading_arcs_cross, 1u);
   ASSERT_EQ(subs.size(), 2u);
   for (const SubTpiin& sub : subs) {
-    EXPECT_EQ(sub.graph.NumNodes(), 3u);
+    EXPECT_EQ(sub.frozen.NumNodes(), 3u);
     EXPECT_EQ(sub.num_influence_arcs, 2u);
     EXPECT_EQ(sub.num_trading_arcs(), 1u);
   }
@@ -47,14 +48,15 @@ TEST(SegmentTest, CrossComponentTradesAreDropped) {
 TEST(SegmentTest, LocalGlobalMappingsRoundTrip) {
   Tpiin net = TwoComponentNet();
   for (const SubTpiin& sub : SegmentTpiin(net)) {
-    for (NodeId local = 0; local < sub.graph.NumNodes(); ++local) {
+    for (NodeId local = 0; local < sub.frozen.NumNodes(); ++local) {
       NodeId global = sub.ToGlobal(local);
       EXPECT_LT(global, net.NumNodes());
       EXPECT_EQ(sub.Label(local), net.Label(global));
     }
-    for (ArcId local = 0; local < sub.graph.NumArcs(); ++local) {
-      const Arc& local_arc = sub.graph.arc(local);
-      const Arc& global_arc = net.graph().arc(sub.ToGlobalArc(local));
+    const std::vector<Arc> arcs = LocalArcTable(sub);
+    for (ArcId local = 0; local < sub.frozen.NumArcs(); ++local) {
+      const Arc& local_arc = arcs[local];
+      const Arc& global_arc = net.arc(sub.ToGlobalArc(local));
       EXPECT_EQ(local_arc.color, global_arc.color);
       EXPECT_EQ(sub.ToGlobal(local_arc.src), global_arc.src);
       EXPECT_EQ(sub.ToGlobal(local_arc.dst), global_arc.dst);
@@ -65,8 +67,9 @@ TEST(SegmentTest, LocalGlobalMappingsRoundTrip) {
 TEST(SegmentTest, InfluenceArcsPrecedeTradingLocally) {
   Tpiin net = TwoComponentNet();
   for (const SubTpiin& sub : SegmentTpiin(net)) {
-    for (ArcId id = 0; id < sub.graph.NumArcs(); ++id) {
-      bool is_influence = IsInfluenceArc(sub.graph.arc(id));
+    const std::vector<Arc> arcs = LocalArcTable(sub);
+    for (ArcId id = 0; id < sub.frozen.NumArcs(); ++id) {
+      bool is_influence = IsInfluenceArc(arcs[id]);
       EXPECT_EQ(is_influence, id < sub.num_influence_arcs);
     }
   }

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "core/matcher.h"
+#include "core/subtpiin.h"
 #include "fusion/tpiin.h"
 
 namespace tpiin {
@@ -67,6 +68,24 @@ inline Tpiin RandomTpiin(uint64_t seed, NodeId max_persons = 6,
   Result<Tpiin> net = builder.Build();
   TPIIN_CHECK(net.ok()) << net.status().ToString();
   return std::move(net).value();
+}
+
+/// A subTPIIN's local arc table rebuilt from its CSR: row `id` is the
+/// local arc `id`, colored by the class span it sits in.
+inline std::vector<Arc> LocalArcTable(const SubTpiin& sub) {
+  const FrozenGraph& fg = sub.frozen;
+  std::vector<Arc> arcs(fg.NumArcs());
+  for (NodeId v = 0; v < fg.NumNodes(); ++v) {
+    const AdjSpan influence = fg.InfluenceOut(v);
+    for (size_t i = 0; i < influence.size(); ++i) {
+      arcs[influence.arcs[i]] = Arc{v, influence.nodes[i], kArcInfluence};
+    }
+    const AdjSpan trading = fg.TradingOut(v);
+    for (size_t i = 0; i < trading.size(); ++i) {
+      arcs[trading.arcs[i]] = Arc{v, trading.nodes[i], kArcTrading};
+    }
+  }
+  return arcs;
 }
 
 /// Canonical comparison key of a pairwise suspicious group.

@@ -47,8 +47,8 @@ TEST_F(WorkedExampleTest, SegmentationYieldsSingleSubTpiin) {
   EXPECT_EQ(stats.num_components, 1u);
   EXPECT_EQ(stats.trading_arcs_internal, 5u);
   EXPECT_EQ(stats.trading_arcs_cross, 0u);
-  EXPECT_EQ(subs[0].graph.NumNodes(), 15u);
-  EXPECT_EQ(subs[0].graph.NumArcs(), 19u);
+  EXPECT_EQ(subs[0].frozen.NumNodes(), 15u);
+  EXPECT_EQ(subs[0].frozen.NumArcs(), 19u);
 }
 
 TEST_F(WorkedExampleTest, PatternBaseMatchesFig10) {

@@ -77,11 +77,12 @@ TEST(ProvinceTest, GroupsPartitionCompanies) {
 TEST(ProvinceTest, InvestmentLayerIsAcyclicWithoutInjectedCycles) {
   auto province = GenerateProvince(SmallProvinceConfig(100, 17));
   ASSERT_TRUE(province.ok());
-  Digraph gi(static_cast<NodeId>(province->dataset.companies().size()));
+  std::vector<Arc> gi;
   for (const InvestmentRecord& rec : province->dataset.investments()) {
-    gi.AddArc(rec.investor, rec.investee, 0);
+    gi.push_back(Arc{rec.investor, rec.investee, 0});
   }
-  EXPECT_TRUE(IsDag(gi));
+  EXPECT_TRUE(IsDag(FrozenGraph(
+      static_cast<NodeId>(province->dataset.companies().size()), gi)));
 }
 
 TEST(ProvinceTest, InjectedCyclesCreateSccSyndicates) {
@@ -112,7 +113,7 @@ TEST(ProvinceTest, FusedProvinceAntecedentIsDag) {
   ASSERT_TRUE(province.ok());
   auto fused = BuildTpiin(province->dataset);
   ASSERT_TRUE(fused.ok());
-  EXPECT_TRUE(IsDag(fused->tpiin.graph(), IsInfluenceArc));
+  EXPECT_TRUE(IsDag(fused->tpiin.frozen(), FrozenArcClass::kInfluence));
 }
 
 TEST(TradingNetworkTest, ZeroProbabilityYieldsNoTrades) {
@@ -121,7 +122,7 @@ TEST(TradingNetworkTest, ZeroProbabilityYieldsNoTrades) {
   EXPECT_TRUE(GenerateTradingNetwork(1, 0.5, rng).empty());
 }
 
-TEST(TradingNetworkTest, FullProbabilityYieldsCompleteDigraph) {
+TEST(TradingNetworkTest, FullProbabilityYieldsCompleteGraph) {
   Rng rng(1);
   std::vector<TradeRecord> trades = GenerateTradingNetwork(5, 1.0, rng);
   EXPECT_EQ(trades.size(), 20u);  // 5 * 4 ordered pairs.

@@ -90,11 +90,11 @@ TEST_P(FusionPropertyTest, CnbmInvariantsHold) {
   const Tpiin& net = fused->tpiin;
 
   // The antecedent layer is a DAG.
-  EXPECT_TRUE(IsDag(net.graph(), IsInfluenceArc));
+  EXPECT_TRUE(IsDag(net.frozen(), FrozenArcClass::kInfluence));
 
   // Arc layout: influence ids first, colors consistent, weights in (0,1].
-  for (ArcId id = 0; id < net.graph().NumArcs(); ++id) {
-    const Arc& arc = net.graph().arc(id);
+  for (ArcId id = 0; id < net.NumArcs(); ++id) {
+    const Arc arc = net.arc(id);
     EXPECT_EQ(IsInfluenceArc(arc), id < net.num_influence_arcs());
     EXPECT_GT(net.ArcWeight(id), 0.0);
     EXPECT_LE(net.ArcWeight(id), 1.0);
@@ -109,7 +109,8 @@ TEST_P(FusionPropertyTest, CnbmInvariantsHold) {
 
   // No duplicate arcs of one color.
   std::set<std::tuple<NodeId, NodeId, ArcColor>> arc_set;
-  for (const Arc& arc : net.graph().arcs()) {
+  for (ArcId id = 0; id < net.NumArcs(); ++id) {
+    const Arc arc = net.arc(id);
     EXPECT_TRUE(arc_set.insert({arc.src, arc.dst, arc.color}).second);
   }
 
@@ -144,11 +145,6 @@ TEST_P(FusionPropertyTest, CompanySyndicatesAreExactlyInvestmentSccs) {
   ASSERT_TRUE(fused.ok());
   // Two companies share a node iff they are mutually reachable via
   // investment arcs.
-  Digraph gi(static_cast<NodeId>(data.companies().size()));
-  for (const InvestmentRecord& rec : data.investments()) {
-    gi.AddArc(rec.investor, rec.investee, 0);
-  }
-  gi.BuildInAdjacency();
   for (CompanyId a = 0; a < data.companies().size(); ++a) {
     for (CompanyId b = a + 1; b < data.companies().size(); ++b) {
       bool same_node =

@@ -50,7 +50,7 @@ TEST_F(NeighborhoodTest, DepthZeroIsJustTheCenter) {
   ASSERT_TRUE(ego.ok());
   EXPECT_EQ(ego->NumNodes(), 1u);
   EXPECT_EQ(ego->Label(0), "C5");
-  EXPECT_EQ(ego->graph().NumArcs(), 0u);
+  EXPECT_EQ(ego->NumArcs(), 0u);
 }
 
 TEST_F(NeighborhoodTest, TradingArcsBetweenKeptNodesAreRetained) {
@@ -89,7 +89,7 @@ TEST_F(NeighborhoodTest, WholeComponentAtLargeDepth) {
   auto ego = ExtractEgoNetwork(net_, c5, options);
   ASSERT_TRUE(ego.ok());
   EXPECT_EQ(ego->NumNodes(), net_.NumNodes());
-  EXPECT_EQ(ego->graph().NumArcs(), net_.graph().NumArcs());
+  EXPECT_EQ(ego->NumArcs(), net_.NumArcs());
 }
 
 TEST_F(NeighborhoodTest, EgoNetworkIsMinableAndConsistent) {
@@ -116,7 +116,7 @@ TEST_F(NeighborhoodTest, WeightsSurviveExtraction) {
   ASSERT_TRUE(net.ok());
   auto ego = ExtractEgoNetwork(*net, p);
   ASSERT_TRUE(ego.ok());
-  ASSERT_EQ(ego->graph().NumArcs(), 1u);
+  ASSERT_EQ(ego->NumArcs(), 1u);
   EXPECT_DOUBLE_EQ(ego->ArcWeight(0), 0.42);
 }
 

@@ -109,7 +109,7 @@ TEST(PipelineTest, AntecedentIsAlwaysDag) {
   data.AddInvestment(1, 0, 0.6);
   auto fused = BuildTpiin(data);
   ASSERT_TRUE(fused.ok());
-  EXPECT_TRUE(IsDag(fused->tpiin.graph(), IsInfluenceArc));
+  EXPECT_TRUE(IsDag(fused->tpiin.frozen(), FrozenArcClass::kInfluence));
 }
 
 TEST(PipelineTest, TradingArcsDedupAndMapThroughContraction) {

@@ -22,7 +22,7 @@ TEST(WeightsTest, BuilderKeepsMaximumOnDuplicates) {
   builder.AddInfluenceArc(p, c, 0.5);  // Weaker duplicate is ignored.
   auto net = builder.Build();
   ASSERT_TRUE(net.ok());
-  ASSERT_EQ(net->graph().NumArcs(), 1u);
+  ASSERT_EQ(net->NumArcs(), 1u);
   EXPECT_DOUBLE_EQ(net->ArcWeight(0), 0.9);
 }
 
@@ -52,7 +52,7 @@ TEST(WeightsTest, PipelineAssignsRoleBasedWeights) {
 
   auto weight_of = [&](NodeId src, NodeId dst) {
     for (ArcId id = 0; id < net.num_influence_arcs(); ++id) {
-      const Arc& arc = net.graph().arc(id);
+      const Arc& arc = net.arc(id);
       if (arc.src == src && arc.dst == dst) return net.ArcWeight(id);
     }
     ADD_FAILURE() << "arc not found";

@@ -1,5 +1,7 @@
 #include "graph/connected.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -9,8 +11,7 @@ namespace tpiin {
 namespace {
 
 TEST(WccTest, IsolatedNodesAreSingletons) {
-  Digraph g(3);
-  WccResult wcc = WeaklyConnectedComponents(g);
+  WccResult wcc = WeaklyConnectedComponents(FrozenGraph(3, {}));
   EXPECT_EQ(wcc.num_components, 3u);
   for (NodeId v = 0; v < 3; ++v) {
     EXPECT_EQ(wcc.members[wcc.component_of[v]], std::vector<NodeId>{v});
@@ -18,24 +19,21 @@ TEST(WccTest, IsolatedNodesAreSingletons) {
 }
 
 TEST(WccTest, DirectionIsIgnored) {
-  Digraph g(4);
-  g.AddArc(1, 0, 0);
-  g.AddArc(1, 2, 0);
-  WccResult wcc = WeaklyConnectedComponents(g);
+  WccResult wcc = WeaklyConnectedComponents(
+      FrozenGraph(4, std::vector<Arc>{{1, 0, 0}, {1, 2, 0}}));
   EXPECT_EQ(wcc.num_components, 2u);  // {0,1,2}, {3}.
   EXPECT_EQ(wcc.component_of[0], wcc.component_of[2]);
   EXPECT_NE(wcc.component_of[0], wcc.component_of[3]);
 }
 
-TEST(WccTest, ArcFilterSplitsComponents) {
-  Digraph g(4);
-  g.AddArc(0, 1, 1);
-  g.AddArc(1, 2, 2);  // Filtered out below.
-  g.AddArc(2, 3, 1);
+TEST(WccTest, ArcClassSplitsComponents) {
+  // Color 2 lies outside the partition class walked below.
+  const FrozenGraph g(4, std::vector<Arc>{{0, 1, 1}, {1, 2, 2}, {2, 3, 1}},
+                      /*influence_color=*/1);
   WccResult all = WeaklyConnectedComponents(g);
   EXPECT_EQ(all.num_components, 1u);
-  WccResult filtered = WeaklyConnectedComponents(
-      g, [](const Arc& arc) { return arc.color == 1; });
+  WccResult filtered =
+      WeaklyConnectedComponents(g, FrozenArcClass::kInfluence);
   EXPECT_EQ(filtered.num_components, 2u);
   EXPECT_EQ(filtered.component_of[0], filtered.component_of[1]);
   EXPECT_EQ(filtered.component_of[2], filtered.component_of[3]);
@@ -43,10 +41,8 @@ TEST(WccTest, ArcFilterSplitsComponents) {
 }
 
 TEST(WccTest, MembersAreSortedAndPartitionNodes) {
-  Digraph g(6);
-  g.AddArc(5, 0, 0);
-  g.AddArc(0, 3, 0);
-  WccResult wcc = WeaklyConnectedComponents(g);
+  WccResult wcc = WeaklyConnectedComponents(
+      FrozenGraph(6, std::vector<Arc>{{5, 0, 0}, {0, 3, 0}}));
   size_t total = 0;
   for (const std::vector<NodeId>& members : wcc.members) {
     EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
@@ -62,16 +58,16 @@ class WccEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(WccEquivalenceTest, UnionFindMatchesDfs) {
   Rng rng(GetParam());
   const NodeId n = 1 + static_cast<NodeId>(rng.UniformU64(40));
-  Digraph g(n);
-  const uint32_t arcs = static_cast<uint32_t>(rng.UniformU64(2 * n));
-  for (uint32_t i = 0; i < arcs; ++i) {
-    g.AddArc(static_cast<NodeId>(rng.UniformU64(n)),
-             static_cast<NodeId>(rng.UniformU64(n)),
-             static_cast<ArcColor>(rng.UniformU64(2)));
+  std::vector<Arc> arcs(rng.UniformU64(2 * n));
+  for (Arc& arc : arcs) {
+    arc.src = static_cast<NodeId>(rng.UniformU64(n));
+    arc.dst = static_cast<NodeId>(rng.UniformU64(n));
+    arc.color = static_cast<ArcColor>(rng.UniformU64(2));
   }
-  ArcFilter filter = [](const Arc& arc) { return arc.color == 0; };
-  WccResult a = WeaklyConnectedComponents(g, filter);
-  WccResult b = FindSubgraphsDfs(g, filter);
+  // Walk the color-0 arcs only.
+  const FrozenGraph g(n, arcs, /*influence_color=*/0);
+  WccResult a = WeaklyConnectedComponents(g, FrozenArcClass::kInfluence);
+  WccResult b = FindSubgraphsDfs(g, FrozenArcClass::kInfluence);
   ASSERT_EQ(a.num_components, b.num_components);
   // Same partition up to component relabeling.
   for (NodeId u = 0; u < n; ++u) {

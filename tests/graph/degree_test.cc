@@ -1,24 +1,22 @@
 #include "graph/degree.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace tpiin {
 namespace {
 
 TEST(DegreeStatsTest, EmptyGraph) {
-  Digraph g;
-  DegreeStats stats = ComputeDegreeStats(g);
+  DegreeStats stats = ComputeDegreeStats(FrozenGraph(0, {}));
   EXPECT_EQ(stats.num_nodes, 0u);
   EXPECT_EQ(stats.num_arcs, 0u);
   EXPECT_DOUBLE_EQ(stats.average_degree, 0.0);
 }
 
 TEST(DegreeStatsTest, CountsAndAverages) {
-  Digraph g(4);
-  g.AddArc(0, 1, 0);
-  g.AddArc(0, 2, 0);
-  g.AddArc(1, 2, 0);
-  DegreeStats stats = ComputeDegreeStats(g);
+  DegreeStats stats = ComputeDegreeStats(
+      FrozenGraph(4, std::vector<Arc>{{0, 1, 0}, {0, 2, 0}, {1, 2, 0}}));
   EXPECT_EQ(stats.num_nodes, 4u);
   EXPECT_EQ(stats.num_arcs, 3u);
   // Gephi convention for directed graphs: |E| / |V|.
@@ -31,11 +29,10 @@ TEST(DegreeStatsTest, CountsAndAverages) {
 }
 
 TEST(DegreeStatsTest, FilterChangesEverything) {
-  Digraph g(3);
-  g.AddArc(0, 1, 1);
-  g.AddArc(1, 2, 2);
   DegreeStats stats = ComputeDegreeStats(
-      g, [](const Arc& arc) { return arc.color == 1; });
+      FrozenGraph(3, std::vector<Arc>{{0, 1, 1}, {1, 2, 2}},
+                  /*influence_color=*/1),
+      FrozenArcClass::kInfluence);
   EXPECT_EQ(stats.num_arcs, 1u);
   EXPECT_EQ(stats.num_isolated, 1u);  // Node 2 under the filter.
 }

@@ -1,14 +1,15 @@
-// FrozenGraph: the immutable CSR view with color-partitioned adjacency.
-// The contract under test: every Digraph arc appears exactly once in the
-// out CSR and once in the in CSR, each node's run is partitioned with
-// the influence class first, and relative order within a color class
-// follows Digraph insertion order.
+// FrozenGraph: the immutable CSR graph with color-partitioned adjacency,
+// built from an arc table. The contract under test: every arc appears
+// exactly once in the out CSR and once in the in CSR, each node's run is
+// partitioned with the influence class first, and within a color class
+// both runs list arcs in ascending arc id.
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "graph/digraph.h"
+#include "common/rng.h"
 #include "graph/frozen.h"
 
 namespace tpiin {
@@ -17,18 +18,19 @@ namespace {
 constexpr ArcColor kTrading = 0;
 constexpr ArcColor kInfluence = 1;
 
+bool Ascending(std::span<const ArcId> ids) {
+  return std::is_sorted(ids.begin(), ids.end());
+}
+
 TEST(FrozenGraphTest, EmptyGraph) {
-  Digraph g;
-  FrozenGraph fg(g, kInfluence);
+  FrozenGraph fg(0, {}, kInfluence);
   EXPECT_EQ(fg.NumNodes(), 0u);
   EXPECT_EQ(fg.NumArcs(), 0u);
   EXPECT_EQ(fg.NumInfluenceArcs(), 0u);
 }
 
 TEST(FrozenGraphTest, SingletonNodeHasEmptySpans) {
-  Digraph g;
-  g.AddNodes(1);
-  FrozenGraph fg(g, kInfluence);
+  FrozenGraph fg(1, {}, kInfluence);
   EXPECT_EQ(fg.NumNodes(), 1u);
   EXPECT_EQ(fg.NumArcs(), 0u);
   EXPECT_TRUE(fg.Out(0).empty());
@@ -47,16 +49,16 @@ TEST(FrozenGraphTest, DefaultConstructedIsEmpty) {
   EXPECT_EQ(fg.NumArcs(), 0u);
 }
 
-// Arcs inserted with the colors interleaved still come out partitioned:
-// influence run first, then trading, each in insertion order.
+// Arcs listed with the colors interleaved still come out partitioned:
+// influence run first, then trading, each in arc-id order.
 TEST(FrozenGraphTest, PartitionsInterleavedColors) {
-  Digraph g;
-  g.AddNodes(5);
-  ArcId t0 = g.AddArc(0, 1, kTrading);
-  ArcId i0 = g.AddArc(0, 2, kInfluence);
-  ArcId t1 = g.AddArc(0, 3, kTrading);
-  ArcId i1 = g.AddArc(0, 4, kInfluence);
-  FrozenGraph fg(g, kInfluence);
+  const ArcId t0 = 0, i0 = 1, t1 = 2, i1 = 3;
+  FrozenGraph fg(5,
+                 std::vector<Arc>{{0, 1, kTrading},
+                                  {0, 2, kInfluence},
+                                  {0, 3, kTrading},
+                                  {0, 4, kInfluence}},
+                 kInfluence);
 
   EXPECT_EQ(fg.NumInfluenceArcs(), 2u);
   ASSERT_EQ(fg.OutDegree(0), 4u);
@@ -86,12 +88,11 @@ TEST(FrozenGraphTest, PartitionsInterleavedColors) {
 }
 
 TEST(FrozenGraphTest, PartitionBoundariesAtAllInfluenceAndAllTrading) {
-  Digraph g;
-  g.AddNodes(3);
-  g.AddArc(0, 1, kInfluence);
-  g.AddArc(0, 2, kInfluence);
-  g.AddArc(1, 2, kTrading);
-  FrozenGraph fg(g, kInfluence);
+  FrozenGraph fg(3,
+                 std::vector<Arc>{{0, 1, kInfluence},
+                                  {0, 2, kInfluence},
+                                  {1, 2, kTrading}},
+                 kInfluence);
 
   // Node 0: all influence — trading span empty, at the run's end.
   EXPECT_EQ(fg.InfluenceOutDegree(0), 2u);
@@ -108,34 +109,31 @@ TEST(FrozenGraphTest, PartitionBoundariesAtAllInfluenceAndAllTrading) {
   EXPECT_EQ(fg.TradingIn(2).nodes[0], 1u);
 }
 
-// Every arc of the Digraph appears exactly once in the out CSR and once
-// in the in CSR, with matching endpoints.
+// Every arc of the table appears exactly once in the out CSR and once in
+// the in CSR, with matching endpoints.
 TEST(FrozenGraphTest, InOutSymmetry) {
-  Digraph g;
-  g.AddNodes(8);
-  g.AddArc(0, 3, kInfluence);
-  g.AddArc(3, 4, kInfluence);
-  g.AddArc(1, 3, kInfluence);
-  g.AddArc(4, 5, kTrading);
-  g.AddArc(3, 5, kTrading);
-  g.AddArc(5, 3, kTrading);  // Back-arc: both directions between 3 and 5.
-  g.AddArc(2, 2, kInfluence);  // Self-loop.
-  FrozenGraph fg(g, kInfluence);
-  ASSERT_EQ(fg.NumArcs(), g.NumArcs());
+  const std::vector<Arc> arcs = {
+      {0, 3, kInfluence}, {3, 4, kInfluence}, {1, 3, kInfluence},
+      {4, 5, kTrading},   {3, 5, kTrading},
+      {5, 3, kTrading},     // Back-arc: both directions between 3 and 5.
+      {2, 2, kInfluence},   // Self-loop.
+  };
+  FrozenGraph fg(8, arcs, kInfluence);
+  ASSERT_EQ(fg.NumArcs(), arcs.size());
 
-  std::vector<uint8_t> seen_out(g.NumArcs(), 0);
-  std::vector<uint8_t> seen_in(g.NumArcs(), 0);
+  std::vector<uint8_t> seen_out(arcs.size(), 0);
+  std::vector<uint8_t> seen_in(arcs.size(), 0);
   for (NodeId v = 0; v < fg.NumNodes(); ++v) {
     AdjSpan out = fg.Out(v);
     for (size_t i = 0; i < out.size(); ++i) {
-      const Arc& arc = g.arc(out.arcs[i]);
+      const Arc& arc = arcs[out.arcs[i]];
       EXPECT_EQ(arc.src, v);
       EXPECT_EQ(arc.dst, out.nodes[i]);
       EXPECT_EQ(++seen_out[out.arcs[i]], 1);
     }
     AdjSpan in = fg.In(v);
     for (size_t i = 0; i < in.size(); ++i) {
-      const Arc& arc = g.arc(in.arcs[i]);
+      const Arc& arc = arcs[in.arcs[i]];
       EXPECT_EQ(arc.dst, v);
       EXPECT_EQ(arc.src, in.nodes[i]);
       EXPECT_EQ(++seen_in[in.arcs[i]], 1);
@@ -148,18 +146,15 @@ TEST(FrozenGraphTest, InOutSymmetry) {
     EXPECT_EQ(fg.InfluenceInDegree(v) + fg.TradingInDegree(v),
               fg.InDegree(v));
   }
-  for (ArcId id = 0; id < g.NumArcs(); ++id) {
+  for (ArcId id = 0; id < arcs.size(); ++id) {
     EXPECT_EQ(seen_out[id], 1) << "arc " << id;
     EXPECT_EQ(seen_in[id], 1) << "arc " << id;
   }
 }
 
 TEST(FrozenGraphTest, OutClassSelectorsMatchNamedSpans) {
-  Digraph g;
-  g.AddNodes(3);
-  g.AddArc(0, 1, kInfluence);
-  g.AddArc(0, 2, kTrading);
-  FrozenGraph fg(g, kInfluence);
+  FrozenGraph fg(3, std::vector<Arc>{{0, 1, kInfluence}, {0, 2, kTrading}},
+                 kInfluence);
   EXPECT_EQ(fg.OutClass(0, FrozenArcClass::kAll).size(), 2u);
   EXPECT_EQ(fg.OutClass(0, FrozenArcClass::kInfluence).nodes[0], 1u);
   EXPECT_EQ(fg.OutClass(0, FrozenArcClass::kTrading).nodes[0], 2u);
@@ -168,35 +163,81 @@ TEST(FrozenGraphTest, OutClassSelectorsMatchNamedSpans) {
   EXPECT_EQ(fg.InClass(2, FrozenArcClass::kTrading).nodes[0], 0u);
 }
 
-// Matches Digraph-derived ground truth on an arbitrary mixed graph.
-TEST(FrozenGraphTest, AgreesWithDigraphAdjacency) {
-  Digraph g;
-  g.AddNodes(6);
-  for (NodeId v = 0; v < 6; ++v) {
-    for (NodeId w = 0; w < 6; ++w) {
-      if ((v * 7 + w * 3) % 4 == 0 && v != w) {
-        g.AddArc(v, w, (v + w) % 2 == 0 ? kInfluence : kTrading);
-      }
+// The stable counting sort: within each color class, every out run and
+// every in run lists its arcs in ascending arc id, whatever order the
+// endpoints appear in the table.
+TEST(FrozenGraphTest, RunsFollowArcIdOrderWithinEachClass) {
+  Rng rng(3);
+  const NodeId n = 12;
+  std::vector<Arc> arcs(300);
+  for (Arc& arc : arcs) {
+    arc.src = static_cast<NodeId>(rng.UniformU64(n));
+    arc.dst = static_cast<NodeId>(rng.UniformU64(n));
+    arc.color = rng.Bernoulli(0.5) ? kInfluence : kTrading;
+  }
+  FrozenGraph fg(n, arcs, kInfluence);
+  for (NodeId v = 0; v < n; ++v) {
+    EXPECT_TRUE(Ascending(fg.InfluenceOut(v).arcs)) << "node " << v;
+    EXPECT_TRUE(Ascending(fg.TradingOut(v).arcs)) << "node " << v;
+    EXPECT_TRUE(Ascending(fg.InfluenceIn(v).arcs)) << "node " << v;
+    EXPECT_TRUE(Ascending(fg.TradingIn(v).arcs)) << "node " << v;
+    for (ArcId id : fg.InfluenceOut(v).arcs) {
+      EXPECT_EQ(arcs[id].color, kInfluence);
+    }
+    for (ArcId id : fg.TradingIn(v).arcs) {
+      EXPECT_EQ(arcs[id].color, kTrading);
     }
   }
-  FrozenGraph fg(g, kInfluence);
-  for (NodeId v = 0; v < 6; ++v) {
-    std::vector<ArcId> expected(g.OutArcs(v).begin(), g.OutArcs(v).end());
-    // Stable-partition the expected list: influence first.
-    std::vector<ArcId> partitioned;
-    for (ArcId id : expected) {
-      if (g.arc(id).color == kInfluence) partitioned.push_back(id);
-    }
-    for (ArcId id : expected) {
-      if (g.arc(id).color != kInfluence) partitioned.push_back(id);
-    }
-    AdjSpan out = fg.Out(v);
-    ASSERT_EQ(out.size(), partitioned.size());
-    for (size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out.arcs[i], partitioned[i]);
-      EXPECT_EQ(out.nodes[i], g.arc(partitioned[i]).dst);
-    }
+
+  // Single-color tables: the whole out run is in arc-id order.
+  FrozenGraph one_color(4, std::vector<Arc>{{0, 1, 0}, {0, 3, 0}, {0, 2, 0}});
+  AdjSpan out = one_color.Out(0);
+  EXPECT_EQ(std::vector<NodeId>(out.nodes.begin(), out.nodes.end()),
+            (std::vector<NodeId>{1, 3, 2}));
+  EXPECT_EQ(std::vector<ArcId>(out.arcs.begin(), out.arcs.end()),
+            (std::vector<ArcId>{0, 1, 2}));
+  EXPECT_EQ(one_color.OutDegree(1), 0u);
+}
+
+TEST(FrozenGraphTest, ParallelArcsAndSelfLoopsKept) {
+  FrozenGraph fg(2, std::vector<Arc>{{0, 1, 0}, {0, 1, 0}, {1, 1, 0}});
+  EXPECT_EQ(fg.NumArcs(), 3u);
+  EXPECT_EQ(fg.OutDegree(0), 2u);
+  EXPECT_EQ(fg.InDegree(1), 3u);
+  AdjSpan in = fg.In(1);
+  EXPECT_EQ(std::vector<NodeId>(in.nodes.begin(), in.nodes.end()),
+            (std::vector<NodeId>{0, 0, 1}));
+  EXPECT_EQ(std::vector<ArcId>(in.arcs.begin(), in.arcs.end()),
+            (std::vector<ArcId>{0, 1, 2}));
+}
+
+// The two CSR halves build concurrently at num_threads > 1; every array
+// must be identical to the single-threaded build.
+TEST(FrozenGraphTest, IdenticalAtOneAndFourThreads) {
+  Rng rng(17);
+  const NodeId n = 5000;
+  std::vector<Arc> arcs(20000);
+  for (Arc& arc : arcs) {
+    arc.src = static_cast<NodeId>(rng.UniformU64(n));
+    arc.dst = static_cast<NodeId>(rng.UniformU64(n));
+    arc.color = rng.Bernoulli(0.3) ? kInfluence : kTrading;
   }
+  const FrozenGraph serial(n, arcs, kInfluence, /*num_threads=*/1);
+  const FrozenGraph parallel(n, arcs, kInfluence, /*num_threads=*/4);
+  EXPECT_EQ(parallel.NumInfluenceArcs(), serial.NumInfluenceArcs());
+  const FrozenGraph::Parts a = serial.parts();
+  const FrozenGraph::Parts b = parallel.parts();
+  auto same = [](auto x, auto y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  EXPECT_TRUE(same(a.out_offsets, b.out_offsets));
+  EXPECT_TRUE(same(a.out_influence_end, b.out_influence_end));
+  EXPECT_TRUE(same(a.out_targets, b.out_targets));
+  EXPECT_TRUE(same(a.out_arc_ids, b.out_arc_ids));
+  EXPECT_TRUE(same(a.in_offsets, b.in_offsets));
+  EXPECT_TRUE(same(a.in_influence_end, b.in_influence_end));
+  EXPECT_TRUE(same(a.in_sources, b.in_sources));
+  EXPECT_TRUE(same(a.in_arc_ids, b.in_arc_ids));
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 // concurrent code paths actually run, plus small graphs that take the
 // serial fallback.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -16,13 +18,13 @@
 namespace tpiin {
 namespace {
 
-// Random two-color digraph. Arcs are clustered inside blocks of
+// Random two-color arc table. Arcs are clustered inside blocks of
 // `block` nodes so the graph has many weakly connected partitions of
 // varying size — the shape the partition-parallel SCC driver fans out
 // over — with a sprinkle of long-range arcs to create big partitions.
-Digraph RandomDigraph(uint64_t seed, NodeId n, ArcId m, NodeId block) {
+std::vector<Arc> RandomArcs(uint64_t seed, NodeId n, ArcId m, NodeId block) {
   Rng rng(seed);
-  Digraph g(n);
+  std::vector<Arc> arcs;
   for (ArcId i = 0; i < m; ++i) {
     NodeId src = static_cast<NodeId>(rng.UniformU64(n));
     NodeId dst;
@@ -33,9 +35,9 @@ Digraph RandomDigraph(uint64_t seed, NodeId n, ArcId m, NodeId block) {
     } else {
       dst = static_cast<NodeId>(rng.UniformU64(n));
     }
-    g.AddArc(src, dst, static_cast<ArcColor>(rng.UniformU64(2)));
+    arcs.push_back(Arc{src, dst, static_cast<ArcColor>(rng.UniformU64(2))});
   }
-  return g;
+  return arcs;
 }
 
 void ExpectSccEqual(const SccResult& expected, const SccResult& actual) {
@@ -50,9 +52,10 @@ class ParallelGraphTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(ParallelGraphTest, SccMatchesSerialAboveThreshold) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
-    Digraph g = RandomDigraph(seed, /*n=*/20000, /*m=*/50000,
-                              /*block=*/64);
-    FrozenGraph frozen(g, /*influence_color=*/1);
+    FrozenGraph frozen(20000,
+                       RandomArcs(seed, /*n=*/20000, /*m=*/50000,
+                                  /*block=*/64),
+                       /*influence_color=*/1);
     SccResult serial =
         StronglyConnectedComponents(frozen, FrozenArcClass::kAll);
     SccResult parallel = StronglyConnectedComponents(
@@ -72,14 +75,14 @@ TEST_P(ParallelGraphTest, SccMatchesSerialOnOneBigPartition) {
   // single-partition fallback (nothing to fan out over).
   Rng rng(11);
   const NodeId n = 10000;
-  Digraph g(n);
-  for (NodeId v = 0; v + 1 < n; ++v) g.AddArc(v, v + 1, 0);
+  std::vector<Arc> arcs;
+  for (NodeId v = 0; v + 1 < n; ++v) arcs.push_back(Arc{v, v + 1, 0});
   for (int i = 0; i < 2000; ++i) {
     NodeId src = static_cast<NodeId>(rng.UniformU64(n));
     NodeId dst = static_cast<NodeId>(rng.UniformU64(n));
-    g.AddArc(src, dst, 0);
+    arcs.push_back(Arc{src, dst, 0});
   }
-  FrozenGraph frozen(g);
+  FrozenGraph frozen(n, arcs);
   ExpectSccEqual(
       StronglyConnectedComponents(frozen, FrozenArcClass::kAll),
       StronglyConnectedComponents(frozen, FrozenArcClass::kAll,
@@ -87,8 +90,8 @@ TEST_P(ParallelGraphTest, SccMatchesSerialOnOneBigPartition) {
 }
 
 TEST_P(ParallelGraphTest, SccMatchesSerialBelowThreshold) {
-  Digraph g = RandomDigraph(7, /*n=*/500, /*m=*/1500, /*block=*/16);
-  FrozenGraph frozen(g);
+  FrozenGraph frozen(
+      500, RandomArcs(7, /*n=*/500, /*m=*/1500, /*block=*/16));
   ExpectSccEqual(
       StronglyConnectedComponents(frozen, FrozenArcClass::kAll),
       StronglyConnectedComponents(frozen, FrozenArcClass::kAll,
@@ -97,9 +100,10 @@ TEST_P(ParallelGraphTest, SccMatchesSerialBelowThreshold) {
 
 TEST_P(ParallelGraphTest, WccMatchesSerialAboveThreshold) {
   for (uint64_t seed = 0; seed < 3; ++seed) {
-    Digraph g = RandomDigraph(100 + seed, /*n=*/20000, /*m=*/40000,
-                              /*block=*/32);
-    FrozenGraph frozen(g, /*influence_color=*/1);
+    FrozenGraph frozen(20000,
+                       RandomArcs(100 + seed, /*n=*/20000, /*m=*/40000,
+                                  /*block=*/32),
+                       /*influence_color=*/1);
     for (FrozenArcClass arc_class :
          {FrozenArcClass::kAll, FrozenArcClass::kInfluence}) {
       WccResult serial = WeaklyConnectedComponents(frozen, arc_class);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,21 +13,15 @@ namespace tpiin {
 namespace {
 
 TEST(SccTest, DagHasOnlyTrivialComponents) {
-  Digraph g(4);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 2, 0);
-  g.AddArc(0, 3, 0);
+  const FrozenGraph g(4, std::vector<Arc>{{0, 1, 0}, {1, 2, 0}, {0, 3, 0}});
   SccResult scc = StronglyConnectedComponents(g);
   EXPECT_EQ(scc.num_components, 4u);
   EXPECT_TRUE(scc.nontrivial_components.empty());
 }
 
 TEST(SccTest, SimpleCycle) {
-  Digraph g(4);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 2, 0);
-  g.AddArc(2, 0, 0);
-  g.AddArc(2, 3, 0);
+  const FrozenGraph g(
+      4, std::vector<Arc>{{0, 1, 0}, {1, 2, 0}, {2, 0, 0}, {2, 3, 0}});
   SccResult scc = StronglyConnectedComponents(g);
   EXPECT_EQ(scc.num_components, 2u);
   ASSERT_EQ(scc.nontrivial_components.size(), 1u);
@@ -38,8 +33,7 @@ TEST(SccTest, SimpleCycle) {
 }
 
 TEST(SccTest, SelfLoopIsNontrivial) {
-  Digraph g(2);
-  g.AddArc(0, 0, 0);
+  const FrozenGraph g(2, std::vector<Arc>{{0, 0, 0}});
   SccResult scc = StronglyConnectedComponents(g);
   EXPECT_EQ(scc.num_components, 2u);
   ASSERT_EQ(scc.nontrivial_components.size(), 1u);
@@ -48,12 +42,11 @@ TEST(SccTest, SelfLoopIsNontrivial) {
 }
 
 TEST(SccTest, TwoDisjointCycles) {
-  Digraph g(6);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 0, 0);
-  g.AddArc(2, 3, 0);
-  g.AddArc(3, 4, 0);
-  g.AddArc(4, 2, 0);
+  const FrozenGraph g(6, std::vector<Arc>{{0, 1, 0},
+                                          {1, 0, 0},
+                                          {2, 3, 0},
+                                          {3, 4, 0},
+                                          {4, 2, 0}});
   SccResult scc = StronglyConnectedComponents(g);
   EXPECT_EQ(scc.num_components, 3u);  // {0,1}, {2,3,4}, {5}.
   EXPECT_EQ(scc.nontrivial_components.size(), 2u);
@@ -63,37 +56,34 @@ TEST(SccTest, ReverseTopologicalComponentIds) {
   // Tarjan emits components in reverse topological order: if comp(u) has
   // an arc to comp(v) (u, v in different components), then
   // component_of[u] > component_of[v].
-  Digraph g(5);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 2, 0);
-  g.AddArc(2, 1, 0);  // {1,2} cycle.
-  g.AddArc(2, 3, 0);
-  g.AddArc(3, 4, 0);
-  SccResult scc = StronglyConnectedComponents(g);
-  for (const Arc& arc : g.arcs()) {
+  const std::vector<Arc> arcs = {
+      {0, 1, 0}, {1, 2, 0}, {2, 1, 0} /* {1,2} cycle. */, {2, 3, 0}, {3, 4, 0}};
+  SccResult scc = StronglyConnectedComponents(FrozenGraph(5, arcs));
+  for (const Arc& arc : arcs) {
     if (scc.component_of[arc.src] != scc.component_of[arc.dst]) {
       EXPECT_GT(scc.component_of[arc.src], scc.component_of[arc.dst]);
     }
   }
 }
 
-TEST(SccTest, ArcFilterRestrictsDecomposition) {
-  Digraph g(3);
-  g.AddArc(0, 1, /*color=*/1);
-  g.AddArc(1, 0, /*color=*/2);  // Filtered out: no cycle remains.
+TEST(SccTest, ArcClassRestrictsDecomposition) {
+  // Color 2 lies outside the partition class: no cycle remains.
+  const FrozenGraph g(3, std::vector<Arc>{{0, 1, /*color=*/1},
+                                          {1, 0, /*color=*/2}},
+                      /*influence_color=*/1);
   SccResult all = StronglyConnectedComponents(g);
   EXPECT_EQ(all.nontrivial_components.size(), 1u);
-  SccResult filtered = StronglyConnectedComponents(
-      g, [](const Arc& arc) { return arc.color == 1; });
+  SccResult filtered =
+      StronglyConnectedComponents(g, FrozenArcClass::kInfluence);
   EXPECT_TRUE(filtered.nontrivial_components.empty());
 }
 
 TEST(SccTest, DeepChainDoesNotOverflowStack) {
   constexpr NodeId kN = 200000;
-  Digraph g(kN);
-  for (NodeId i = 1; i < kN; ++i) g.AddArc(i - 1, i, 0);
-  g.AddArc(kN - 1, 0, 0);  // One giant cycle.
-  SccResult scc = StronglyConnectedComponents(g);
+  std::vector<Arc> arcs;
+  for (NodeId i = 1; i < kN; ++i) arcs.push_back({i - 1, i, 0});
+  arcs.push_back({kN - 1, 0, 0});  // One giant cycle.
+  SccResult scc = StronglyConnectedComponents(FrozenGraph(kN, arcs));
   EXPECT_EQ(scc.num_components, 1u);
   EXPECT_EQ(scc.members[0].size(), kN);
 }
@@ -105,12 +95,13 @@ class SccPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SccPropertyTest, AgreesWithMutualReachability) {
   Rng rng(GetParam());
   const NodeId n = 2 + static_cast<NodeId>(rng.UniformU64(28));
-  Digraph g(n);
-  const uint32_t arcs = static_cast<uint32_t>(rng.UniformU64(3 * n));
-  for (uint32_t i = 0; i < arcs; ++i) {
-    g.AddArc(static_cast<NodeId>(rng.UniformU64(n)),
-             static_cast<NodeId>(rng.UniformU64(n)), 0);
+  std::vector<Arc> arcs(rng.UniformU64(3 * n));
+  for (Arc& arc : arcs) {
+    arc.src = static_cast<NodeId>(rng.UniformU64(n));
+    arc.dst = static_cast<NodeId>(rng.UniformU64(n));
+    arc.color = 0;
   }
+  const FrozenGraph g(n, arcs);
   SccResult scc = StronglyConnectedComponents(g);
 
   std::vector<std::vector<bool>> reach;

@@ -1,24 +1,22 @@
 #include "graph/traversal.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace tpiin {
 namespace {
 
 TEST(ReachableFromTest, StartIsAlwaysReachable) {
-  Digraph g(3);
-  std::vector<bool> reach = ReachableFrom(g, 1);
+  std::vector<bool> reach = ReachableFrom(FrozenGraph(3, {}), 1);
   EXPECT_FALSE(reach[0]);
   EXPECT_TRUE(reach[1]);
   EXPECT_FALSE(reach[2]);
 }
 
 TEST(ReachableFromTest, FollowsDirection) {
-  Digraph g(4);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 2, 0);
-  g.AddArc(3, 2, 0);
-  std::vector<bool> reach = ReachableFrom(g, 0);
+  std::vector<bool> reach = ReachableFrom(
+      FrozenGraph(4, std::vector<Arc>{{0, 1, 0}, {1, 2, 0}, {3, 2, 0}}), 0);
   EXPECT_TRUE(reach[0]);
   EXPECT_TRUE(reach[1]);
   EXPECT_TRUE(reach[2]);
@@ -26,29 +24,23 @@ TEST(ReachableFromTest, FollowsDirection) {
 }
 
 TEST(ReachableFromTest, HandlesCycles) {
-  Digraph g(3);
-  g.AddArc(0, 1, 0);
-  g.AddArc(1, 0, 0);
-  g.AddArc(1, 2, 0);
-  std::vector<bool> reach = ReachableFrom(g, 0);
+  std::vector<bool> reach = ReachableFrom(
+      FrozenGraph(3, std::vector<Arc>{{0, 1, 0}, {1, 0, 0}, {1, 2, 0}}), 0);
   EXPECT_TRUE(reach[0] && reach[1] && reach[2]);
 }
 
 TEST(ReachableFromTest, FilterBlocksArcs) {
-  Digraph g(3);
-  g.AddArc(0, 1, 1);
-  g.AddArc(1, 2, 2);
   std::vector<bool> reach =
-      ReachableFrom(g, 0, [](const Arc& arc) { return arc.color == 1; });
+      ReachableFrom(FrozenGraph(3, std::vector<Arc>{{0, 1, 1}, {1, 2, 2}},
+                                /*influence_color=*/1),
+                    0, FrozenArcClass::kInfluence);
   EXPECT_TRUE(reach[1]);
   EXPECT_FALSE(reach[2]);
 }
 
 TEST(FindSubgraphsDfsTest, MembersSortedAndComplete) {
-  Digraph g(5);
-  g.AddArc(4, 2, 0);
-  g.AddArc(2, 0, 0);
-  WccResult wcc = FindSubgraphsDfs(g);
+  WccResult wcc = FindSubgraphsDfs(
+      FrozenGraph(5, std::vector<Arc>{{4, 2, 0}, {2, 0, 0}}));
   EXPECT_EQ(wcc.num_components, 3u);
   std::vector<NodeId> big = wcc.members[wcc.component_of[0]];
   EXPECT_EQ(big, (std::vector<NodeId>{0, 2, 4}));

@@ -34,9 +34,9 @@ TEST_P(EndToEndTest, FullPipelineInvariantsHold) {
   auto fused = BuildTpiin(province->dataset);
   ASSERT_TRUE(fused.ok());
   const Tpiin& net = fused->tpiin;
-  EXPECT_TRUE(IsDag(net.graph(), IsInfluenceArc));
-  for (ArcId id = 0; id < net.graph().NumArcs(); ++id) {
-    bool influence = IsInfluenceArc(net.graph().arc(id));
+  EXPECT_TRUE(IsDag(net.frozen(), FrozenArcClass::kInfluence));
+  for (ArcId id = 0; id < net.NumArcs(); ++id) {
+    bool influence = IsInfluenceArc(net.arc(id));
     EXPECT_EQ(influence, id < net.num_influence_arcs());
   }
 

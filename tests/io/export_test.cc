@@ -29,31 +29,14 @@ TEST(DotExportTest, TpiinDotHasNodesAndColoredArcs) {
 
 TEST(DotExportTest, LayerDotRendersUndirectedInterdependence) {
   RawDataset data = BuildWorkedExampleDataset();
-  Digraph g1 = BuildInterdependenceGraph(data);
   std::vector<std::string> labels;
   for (const Person& p : data.persons()) labels.push_back(p.name);
-  std::string dot = LayerToDot(g1, labels, "G1");
+  std::string dot =
+      LayerToDot(static_cast<NodeId>(labels.size()),
+                 BuildInterdependenceGraph(data), labels, "G1");
   EXPECT_NE(dot.find("dir=none"), std::string::npos);
   EXPECT_NE(dot.find("brown"), std::string::npos);   // Kinship.
   EXPECT_NE(dot.find("gold"), std::string::npos);    // Interlocking.
-}
-
-TEST(DotExportTest, FrozenGraphOverloadMatchesDigraphByteForByte) {
-  RawDataset data = BuildWorkedExampleDataset();
-  Digraph g1 = BuildInterdependenceGraph(data);
-  std::vector<std::string> labels;
-  for (const Person& p : data.persons()) labels.push_back(p.name);
-
-  std::string via_digraph = LayerToDot(g1, labels, "G1");
-  // Freeze on the first arc color, as the Digraph overload does; G1
-  // carries kinship + interlocking arcs in either role.
-  ASSERT_FALSE(g1.arcs().empty());
-  ArcColor first = g1.arcs().front().color;
-  ArcColor other =
-      first == kLayerKinship ? kLayerInterlocking : kLayerKinship;
-  std::string via_frozen =
-      LayerToDot(FrozenGraph(g1, first), other, labels, "G1");
-  EXPECT_EQ(via_frozen, via_digraph);
 }
 
 TEST(DotExportTest, EscapesQuotesInLabels) {

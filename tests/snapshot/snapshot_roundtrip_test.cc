@@ -155,7 +155,6 @@ TEST_F(SnapshotRoundtripTest, WorkedExampleAllColumns) {
 
   auto view = SnapshotView::Open(path);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_FALSE((*view)->net().has_graph());
   ExpectSameNetwork(fused->tpiin, (*view)->net());
   ExpectSameDetection(fused->tpiin, (*view)->net(), 1);
 }
