@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -118,7 +119,11 @@ class SnapshotHostileTest : public ::testing::Test {
   // the shape checks instead of dying at the checksum gate.
   void PutPayload(std::string* bytes, size_t index, uint64_t byte_off,
                   const void* value, size_t value_size) const {
-    SectionEntry entry = Entry(index);
+    SectionEntry entry;
+    std::memcpy(&entry,
+                bytes->data() + sizeof(SnapshotHeader) +
+                    index * sizeof(SectionEntry),
+                sizeof(entry));
     std::memcpy(bytes->data() + entry.offset + byte_off, value,
                 value_size);
     entry.crc = Crc32c(bytes->data() + entry.offset,
@@ -319,6 +324,102 @@ TEST_F(SnapshotHostileTest, InfluenceSplitOutOfRange) {
   std::string bad = bytes_;
   PutPayload(&bad, index, 0, &huge, sizeof(huge));
   ExpectViewRejected(WriteBytes("split.snap", bad), "influence split");
+}
+
+// CRC-consistent files whose index columns name a node, arc or
+// component past the end of the graph: shapes and checksums all pass,
+// so only the value pass stands between them and an out-of-bounds read
+// in the first traversal.
+class SnapshotOutOfRangeTest : public SnapshotHostileTest {
+ protected:
+  // Writes 0x00FFFFFF over the first element of section `id` in
+  // `bytes` (re-sealing every CRC) and expects the view to refuse it.
+  // Every snapshot lists its sections in the same directory order, so
+  // the fixture's IndexOf addresses `bytes` too.
+  void ExpectOutOfRangeRejected(const std::string& bytes, SectionId id) {
+    const uint32_t past_end = 0x00FFFFFF;
+    std::string bad = bytes;
+    PutPayload(&bad, IndexOf(id), 0, &past_end, sizeof(past_end));
+    ExpectViewRejected(
+        WriteBytes("range_" + std::string(SectionName(id)) + ".snap", bad),
+        "out-of-range value");
+  }
+};
+
+TEST_F(SnapshotOutOfRangeTest, OutTargets) {
+  ExpectOutOfRangeRejected(bytes_, SectionId::kOutTargets);
+}
+
+TEST_F(SnapshotOutOfRangeTest, InSources) {
+  ExpectOutOfRangeRejected(bytes_, SectionId::kInSources);
+}
+
+TEST_F(SnapshotOutOfRangeTest, ArcSrc) {
+  ExpectOutOfRangeRejected(bytes_, SectionId::kArcSrc);
+}
+
+TEST_F(SnapshotOutOfRangeTest, ArcDst) {
+  ExpectOutOfRangeRejected(bytes_, SectionId::kArcDst);
+}
+
+TEST_F(SnapshotOutOfRangeTest, PersonNode) {
+  ExpectOutOfRangeRejected(bytes_, SectionId::kPersonNode);
+}
+
+TEST_F(SnapshotOutOfRangeTest, CompanyNode) {
+  ExpectOutOfRangeRejected(bytes_, SectionId::kCompanyNode);
+}
+
+TEST_F(SnapshotOutOfRangeTest, OutArcIds) {
+  ExpectOutOfRangeRejected(bytes_, SectionId::kOutArcIds);
+}
+
+TEST_F(SnapshotOutOfRangeTest, InArcIds) {
+  ExpectOutOfRangeRejected(bytes_, SectionId::kInArcIds);
+}
+
+TEST_F(SnapshotOutOfRangeTest, WccComponentOf) {
+  ExpectOutOfRangeRejected(bytes_, SectionId::kWccComponentOf);
+}
+
+TEST_F(SnapshotOutOfRangeTest, WccNumComponentsAboveNodeCount) {
+  const size_t index = IndexOf(SectionId::kMeta);
+  SnapshotMeta meta;
+  std::memcpy(&meta, bytes_.data() + Entry(index).offset, sizeof(meta));
+  const uint64_t too_many = meta.num_nodes + 1;
+  std::string bad = bytes_;
+  PutPayload(&bad, index, offsetof(SnapshotMeta, wcc_num_components),
+             &too_many, sizeof(too_many));
+  ExpectViewRejected(WriteBytes("wcc_count.snap", bad),
+                     "more WCC components than nodes");
+}
+
+TEST_F(SnapshotOutOfRangeTest, IntraSyndicateTradeNode) {
+  // The worked example has no company syndicate; build one (C1 and C2
+  // invest in each other) with a trade inside it.
+  RawDataset data;
+  const PersonId l1 = data.AddPerson("L1", kRoleCeo);
+  const PersonId l2 = data.AddPerson("L2", kRoleCeo);
+  const CompanyId c1 = data.AddCompany("C1");
+  const CompanyId c2 = data.AddCompany("C2");
+  const CompanyId c3 = data.AddCompany("C3");
+  data.AddInfluence(l1, c1, InfluenceKind::kCeoOf, true);
+  data.AddInfluence(l1, c2, InfluenceKind::kCeoOf, true);
+  data.AddInfluence(l2, c3, InfluenceKind::kCeoOf, true);
+  data.AddInvestment(c1, c2, 0.6);
+  data.AddInvestment(c2, c1, 0.6);
+  data.AddTrade(c1, c2);
+  data.AddTrade(c2, c3);
+  Result<FusionOutput> fused = BuildTpiin(data);
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  ASSERT_EQ(fused->tpiin.intra_syndicate_trades().size(), 1u);
+  const std::string path = dir_ + "/syndicate.snap";
+  ASSERT_TRUE(WriteSnapshot(fused->tpiin, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  static_assert(offsetof(IntraSyndicateTrade, syndicate_node) == 0);
+  ExpectOutOfRangeRejected(bytes, SectionId::kIntraSyndicateTrades);
 }
 
 TEST_F(SnapshotHostileTest, DuplicateSectionId) {
