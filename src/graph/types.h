@@ -22,8 +22,8 @@ inline constexpr ArcId kInvalidArc = std::numeric_limits<ArcId>::max();
 /// (Influence/Trading, Kinship/Interlocking, ...).
 using ArcColor = int32_t;
 
-/// A directed edge with a color. Plain aggregate; graphs store arcs in
-/// insertion order so arc ids are stable handles.
+/// A directed edge with a color. Plain aggregate; an arc table lists
+/// arcs by id, so an arc's position is its stable handle.
 struct Arc {
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
