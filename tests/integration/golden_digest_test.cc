@@ -21,6 +21,7 @@
 
 #include "cli/cli.h"
 #include "common/crc32c.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "core/detector.h"
 #include "core/pattern_tree.h"
@@ -194,6 +195,69 @@ TEST_F(GoldenDigestTest, CiExtractArtifacts) {
                     .dot = 0x67c0590a,
                     .gexf = 0x144c27d7,
                 });
+}
+
+// No generated input repeats a record or forms a company syndicate, so
+// this one does both: CiExtract() plus three investment cycles (each
+// arc with a trade against it), then a shuffled second copy of every
+// record. Pins the per-layer dedups, the maximum-weight fold on
+// influence and investment arcs, and the intra-syndicate trades, at one
+// and at four fusion threads.
+TEST_F(GoldenDigestTest, DuplicateRecordArtifacts) {
+  RawDataset data = CiExtract();
+  Rng rng(16);
+  const auto share = [&] { return 1.0 - rng.UniformDouble(); };
+  const CompanyId kCycleArcs[][2] = {{0, 1}, {1, 0}, {2, 3}, {3, 2},
+                                     {4, 5}, {5, 6}, {6, 4}};
+  for (const auto& arc : kCycleArcs) {
+    data.AddInvestment(arc[0], arc[1], share());
+    data.AddTrade(arc[1], arc[0]);  // Inside the syndicate-to-be.
+  }
+
+  std::vector<InterdependenceRecord> interdependence = data.interdependence();
+  rng.Shuffle(interdependence);
+  for (const InterdependenceRecord& rec : interdependence) {
+    data.AddInterdependence(rec.person_b, rec.person_a,
+                            rec.kind == InterdependenceKind::kKinship
+                                ? InterdependenceKind::kInterlocking
+                                : InterdependenceKind::kKinship);
+  }
+  std::vector<InfluenceRecord> influence = data.influence();
+  rng.Shuffle(influence);
+  for (const InfluenceRecord& rec : influence) {
+    data.AddInfluence(rec.person, rec.company,
+                      static_cast<InfluenceKind>(rng.UniformU64(4)),
+                      /*is_legal_person=*/false);
+  }
+  std::vector<InvestmentRecord> investments = data.investments();
+  rng.Shuffle(investments);
+  for (const InvestmentRecord& rec : investments) {
+    data.AddInvestment(rec.investor, rec.investee, share());
+  }
+  std::vector<TradeRecord> trades = data.trades();
+  rng.Shuffle(trades);
+  for (const TradeRecord& rec : trades) data.AddTrade(rec.seller, rec.buyer);
+
+  ExpectLayerDigests(LayerDigests(data),
+                     {0xac918cbc, 0xf8e768f0, 0x40d19ba6, 0x884aea9d});
+  for (uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(StringPrintf("threads=%u", threads));
+    FusionOptions options;
+    options.num_threads = threads;
+    Result<FusionOutput> fused = BuildTpiin(data, options);
+    ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+    EXPECT_EQ(Hex(Digest(fused->stats.ToString())), Hex(0x6aedb91e))
+        << fused->stats.ToString();
+    ExpectDigests(DigestNet(fused->tpiin),
+                  NetDigests{
+                      .groups = 0x43fd6c48,
+                      .ranked = 0x6c93762b,
+                      .snapshot = 0x047630fb,
+                      .edge_list = 0xdee535cb,
+                      .dot = 0xc47902b2,
+                      .gexf = 0xa13c0448,
+                  });
+  }
 }
 
 TEST_F(GoldenDigestTest, WorkedExampleLayerDot) {
