@@ -96,11 +96,11 @@ void BM_FusionPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_FusionPipeline)->Arg(2)->Arg(20);
 
-// Fusion with the multi-threaded stage schedule: independent relationship
-// layers build concurrently, the person union-find / investment SCC run
-// partitioned, and the CSR freeze builds its two halves as parallel
-// tasks. Output is bit-identical to the serial path (asserted by
-// tests/fusion/parallel_fusion_test.cc); only wall clock changes.
+// Fusion with the multi-threaded stage schedule: the relationship-layer
+// tasks run concurrently, syndicate labels build in parallel, and
+// validation runs beside the CSR freeze, which builds its two halves as
+// parallel tasks. Output is bit-identical to the serial path (asserted
+// by tests/fusion/parallel_fusion_test.cc); only wall clock changes.
 void BM_FusionPipelineParallel(benchmark::State& state) {
   if (SkipInSnapshotMode(state)) return;
   const Fixture& fixture = GetFixture(ArgToProb(state.range(0)));

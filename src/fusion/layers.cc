@@ -1,65 +1,83 @@
 #include "fusion/layers.h"
 
-#include <unordered_set>
+#include <algorithm>
+#include <utility>
 
 namespace tpiin {
 
 namespace {
 
-// Packs an ordered node pair into one key for dedup sets.
-uint64_t PairKey(NodeId a, NodeId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
+// Keeps the arcs whose (src, dst) pair first occurs at their row, in
+// row order.
+std::vector<Arc> KeepFirstOccurrences(std::vector<Arc> arcs) {
+  std::vector<uint64_t> keys;
+  keys.reserve(arcs.size());
+  for (const Arc& arc : arcs) keys.push_back(PairKey(arc.src, arc.dst));
+  const std::vector<uint32_t> first = FirstOccurrences(keys);
+  size_t kept = 0;
+  for (size_t i = 0; i < arcs.size(); ++i) {
+    if (first[i] == i) arcs[kept++] = arcs[i];
+  }
+  arcs.resize(kept);
+  return arcs;
 }
 
 }  // namespace
 
+std::vector<uint32_t> FirstOccurrences(std::span<const uint64_t> keys) {
+  std::vector<std::pair<uint64_t, uint32_t>> sorted(keys.size());
+  for (uint32_t i = 0; i < keys.size(); ++i) sorted[i] = {keys[i], i};
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<uint32_t> first(keys.size());
+  uint32_t run_first = 0;
+  for (size_t k = 0; k < sorted.size(); ++k) {
+    if (k == 0 || sorted[k].first != sorted[k - 1].first) {
+      run_first = sorted[k].second;
+    }
+    first[sorted[k].second] = run_first;
+  }
+  return first;
+}
+
 std::vector<Arc> BuildInterdependenceGraph(const RawDataset& dataset) {
   std::vector<Arc> arcs;
-  std::unordered_set<uint64_t> seen;
+  arcs.reserve(dataset.interdependence().size());
   for (const InterdependenceRecord& rec : dataset.interdependence()) {
-    NodeId a = rec.person_a;
-    NodeId b = rec.person_b;
-    if (a > b) std::swap(a, b);
-    if (!seen.insert(PairKey(a, b)).second) continue;
+    const auto [a, b] = std::minmax(rec.person_a, rec.person_b);
     ArcColor color = rec.kind == InterdependenceKind::kKinship
                          ? kLayerKinship
                          : kLayerInterlocking;
     arcs.push_back(Arc{a, b, color});
   }
-  return arcs;
+  return KeepFirstOccurrences(std::move(arcs));
 }
 
 std::vector<Arc> BuildInfluenceLayerGraph(const RawDataset& dataset) {
   const NodeId num_persons = static_cast<NodeId>(dataset.persons().size());
   std::vector<Arc> arcs;
-  std::unordered_set<uint64_t> seen;
+  arcs.reserve(dataset.influence().size());
   for (const InfluenceRecord& rec : dataset.influence()) {
-    NodeId src = rec.person;
-    NodeId dst = num_persons + rec.company;
-    if (!seen.insert(PairKey(src, dst)).second) continue;
-    arcs.push_back(Arc{src, dst, kLayerInfluence});
+    arcs.push_back(Arc{rec.person, num_persons + rec.company, kLayerInfluence});
   }
-  return arcs;
+  return KeepFirstOccurrences(std::move(arcs));
 }
 
 std::vector<Arc> BuildInvestmentGraph(const RawDataset& dataset) {
   std::vector<Arc> arcs;
-  std::unordered_set<uint64_t> seen;
+  arcs.reserve(dataset.investments().size());
   for (const InvestmentRecord& rec : dataset.investments()) {
-    if (!seen.insert(PairKey(rec.investor, rec.investee)).second) continue;
     arcs.push_back(Arc{rec.investor, rec.investee, kLayerInvestment});
   }
-  return arcs;
+  return KeepFirstOccurrences(std::move(arcs));
 }
 
 std::vector<Arc> BuildTradingGraph(const RawDataset& dataset) {
   std::vector<Arc> arcs;
-  std::unordered_set<uint64_t> seen;
+  arcs.reserve(dataset.trades().size());
   for (const TradeRecord& rec : dataset.trades()) {
-    if (!seen.insert(PairKey(rec.seller, rec.buyer)).second) continue;
     arcs.push_back(Arc{rec.seller, rec.buyer, kLayerTrading});
   }
-  return arcs;
+  return KeepFirstOccurrences(std::move(arcs));
 }
 
 }  // namespace tpiin

@@ -1,6 +1,8 @@
 #ifndef TPIIN_FUSION_LAYERS_H_
 #define TPIIN_FUSION_LAYERS_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/types.h"
@@ -16,6 +18,17 @@ inline constexpr ArcColor kLayerInterlocking = 11;  // yellow edges (Fig. 11)
 inline constexpr ArcColor kLayerInfluence = 12;     // blue arcs (Fig. 12)
 inline constexpr ArcColor kLayerInvestment = 13;    // green/red arcs (Fig. 13)
 inline constexpr ArcColor kLayerTrading = 14;       // black arcs (Fig. 15)
+
+/// Packs an ordered node pair into one sortable key.
+inline uint64_t PairKey(NodeId a, NodeId b) {
+  return (static_cast<uint64_t>(a) << 32) | b;
+}
+
+/// Fusion's one deduplication (CNBM relationship layers are sets): for
+/// each position i of `keys`, the position of the first equal key, so i
+/// is a first occurrence iff the result holds i there. Sorts (key,
+/// position) pairs; no hash table is built.
+std::vector<uint32_t> FirstOccurrences(std::span<const uint64_t> keys);
 
 /// Each layer builder returns its deduplicated arc table: arc `id` is
 /// row `id`, in first-record order. The node count is implied by the

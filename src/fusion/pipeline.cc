@@ -2,8 +2,6 @@
 
 #include <array>
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
@@ -20,10 +18,6 @@
 namespace tpiin {
 
 namespace {
-
-uint64_t PairKey(NodeId a, NodeId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
 
 // Builds a syndicate display label from member names: a single member
 // keeps its own name; merged members render as "{a+b+c}".
@@ -95,7 +89,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
   std::vector<Arc> gi;
   SccResult scc;
   std::vector<double> influence_weight(dataset.influence().size());
-  std::unordered_map<NodeId, std::vector<InvestmentArc>> internal_of_component;
+  std::vector<std::vector<InvestmentArc>> internal_of_component;
 
   const std::array<std::function<Status()>, 3> layer_tasks = {
       // G1 (kinship + interlocking) + edge contraction: connected
@@ -106,7 +100,8 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
       [&]() -> Status {
         TPIIN_FAILPOINT("fusion.layer.g1");
         g1 = BuildInterdependenceGraph(dataset);
-        UnionFind person_uf = UnionArcs(num_persons, g1, threads);
+        UnionFind person_uf(num_persons);
+        for (const Arc& arc : g1) person_uf.Union(arc.src, arc.dst);
         person_component = person_uf.DenseComponentIds();
         num_person_nodes = person_uf.NumSets();
         return Status::OK();
@@ -114,30 +109,23 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
       // GI + Tarjan SCC contraction: strongly connected investment
       // subgraphs become company syndicates. Tarjan runs over the CSR
       // view (one contiguous target array instead of per-node id
-      // vectors), partition-parallel when threads allow.
+      // vectors).
       [&]() -> Status {
         TPIIN_FAILPOINT("fusion.layer.gi");
         gi = BuildInvestmentGraph(dataset);
         FrozenGraph frozen_gi(num_companies, gi, kLayerInvestment, threads);
-        scc = StronglyConnectedComponents(frozen_gi, FrozenArcClass::kAll,
-                                          threads);
+        scc = StronglyConnectedComponents(frozen_gi);
 
-        // Internal investment arcs of each nontrivial SCC, collected in
-        // one O(arcs) pass (the previous per-syndicate scan over all of
-        // GI was O(syndicates x arcs)). Bucket order is arc-id order,
-        // matching the original scan, so proof chains come out identical.
-        for (NodeId comp : scc.nontrivial_components) {
-          internal_of_component.emplace(comp, std::vector<InvestmentArc>());
-        }
+        // Internal investment arcs of each SCC, collected in one O(arcs)
+        // pass in arc-id order, so proof chains follow record order.
+        // Only syndicates (more than one member) keep theirs.
+        internal_of_component.resize(scc.num_components);
         for (const Arc& arc : gi) {
           NodeId comp = scc.component_of[arc.src];
           if (comp != scc.component_of[arc.dst]) continue;
-          auto it = internal_of_component.find(comp);
-          if (it == internal_of_component.end()) {
-            continue;  // Trivial SCC self-loop.
-          }
-          it->second.push_back(InvestmentArc{static_cast<CompanyId>(arc.src),
-                                             static_cast<CompanyId>(arc.dst)});
+          internal_of_component[comp].push_back(InvestmentArc{
+              static_cast<CompanyId>(arc.src),
+              static_cast<CompanyId>(arc.dst)});
         }
         return Status::OK();
       },
@@ -262,15 +250,14 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
   }
 
   // --- Influence arcs (G12'): person syndicate -> company node, with
-  // the weights computed in stage A. The builder deduplicates, keeping
-  // the maximum weight.
+  // the weights computed in stage A. Build() deduplicates, keeping the
+  // maximum weight.
   stats.influence_records = dataset.influence().size();
   for (size_t i = 0; i < dataset.influence().size(); ++i) {
     const InfluenceRecord& rec = dataset.influence()[i];
     builder.AddInfluenceArc(person_node[rec.person],
                             company_node[rec.company], influence_weight[i]);
   }
-  stats.influence_arcs = builder.NumArcsSoFar();
 
   // --- Investment arcs mapped through the SCC contraction; arcs inside
   // one syndicate disappear (they became internal_investments above).
@@ -284,18 +271,13 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
     }
     builder.AddInfluenceArc(src, dst, rec.share);
   }
-  stats.investment_arcs = builder.NumArcsSoFar() - stats.influence_arcs;
-
   stats.antecedent_nodes = num_person_nodes + num_company_nodes;
-  stats.antecedent_arcs = stats.influence_arcs + stats.investment_arcs;
   close_stage(&timings.assemble_seconds, &timings.assemble_cpu_seconds);
 
-  // --- Trading overlay (G4) mapped through the contraction. Stays
-  // serial: intra-syndicate trades are emitted per raw record (no
-  // dedup) and trading arc ids follow first-occurrence order, both of
-  // which a pre-deduplicating parallel pass would change.
+  // --- Trading overlay (G4) mapped through the contraction.
+  // Intra-syndicate trades are kept per raw record; Build() keeps the
+  // first of each trading arc.
   stats.trade_records = dataset.trades().size();
-  std::unordered_set<uint64_t> seen_trades;
   {
     TPIIN_SPAN("fuse_overlay");
     for (const TradeRecord& rec : dataset.trades()) {
@@ -306,9 +288,7 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
         ++stats.intra_syndicate_trades;
         continue;
       }
-      if (!seen_trades.insert(PairKey(src, dst)).second) continue;
       builder.AddTradingArc(src, dst);
-      ++stats.trading_arcs;
     }
   }
   close_stage(&timings.overlay_seconds, &timings.overlay_cpu_seconds);
@@ -321,6 +301,17 @@ Result<FusionOutput> BuildTpiin(const RawDataset& dataset,
   }();
   TPIIN_RETURN_IF_ERROR(built.status());
   Tpiin net = std::move(built).value();
+  // Influence-range arcs from Person nodes are G2's; from Company nodes,
+  // GI's.
+  for (ArcId id = 0; id < net.num_influence_arcs(); ++id) {
+    if (net.color(net.arc(id).src) == NodeColor::kPerson) {
+      ++stats.influence_arcs;
+    } else {
+      ++stats.investment_arcs;
+    }
+  }
+  stats.antecedent_arcs = net.num_influence_arcs();
+  stats.trading_arcs = net.num_trading_arcs();
   close_stage(&timings.build_seconds, &timings.build_cpu_seconds);
   timings.total_seconds = total_timer.ElapsedSeconds();
 

@@ -17,11 +17,11 @@ struct FusionOptions {
   bool validate_dataset = true;
 
   /// Worker threads for the parallel fusion stages: the independent
-  /// relationship-layer builds run as concurrent tasks, the person
-  /// edge-contraction uses the chunked union-find driver, the company
-  /// contraction the partition-parallel Tarjan, syndicate labels build
-  /// in parallel, and the final validation + CSR freeze run as
-  /// concurrent passes. 0 = auto-detect, 1 = fully serial. The TPIIN is
+  /// relationship-layer builds (each with its serial contraction) run
+  /// as concurrent tasks, syndicate labels build in parallel, the final
+  /// validation runs beside the CSR freeze, and each freeze builds its
+  /// two CSR halves concurrently. Deduplication, union-find and Tarjan
+  /// stay serial. 0 = auto-detect, 1 = fully serial. The TPIIN is
   /// bit-identical at any value (tests/fusion/parallel_fusion_test.cc).
   uint32_t num_threads = 1;
 };

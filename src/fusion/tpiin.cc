@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "fusion/layers.h"
 #include "graph/topo.h"
 
 namespace tpiin {
@@ -68,48 +69,58 @@ NodeId TpiinBuilder::AddCompanyNode(std::string_view label,
   return id;
 }
 
-ArcId TpiinBuilder::LookupOrInsertArcKey(NodeId src, NodeId dst,
-                                         ArcColor color) {
-  uint64_t key = (static_cast<uint64_t>(src) << 33) |
-                 (static_cast<uint64_t>(dst) << 1) |
-                 static_cast<uint64_t>(color & 1);
-  ArcId next_id = NumArcsSoFar();
-  auto [it, inserted] = seen_arc_keys_.emplace(key, next_id);
-  return inserted ? kInvalidArc : it->second;
-}
-
 void TpiinBuilder::AddInfluenceArc(NodeId from, NodeId to, double weight) {
   if (saw_trading_arc_) {
     failed_ordering_ = true;
     return;
   }
-  ArcId existing = LookupOrInsertArcKey(from, to, kArcInfluence);
-  std::vector<double>& weights = net_.arc_weight_.vec();
-  if (existing != kInvalidArc) {
-    // Keep the strongest evidence for a deduplicated relationship.
-    weights[existing] = std::max(weights[existing], weight);
-    return;
-  }
-  AppendArc(from, to);
-  weights.push_back(weight);
+  AppendArc(from, to, weight);
   ++net_.num_influence_arcs_;
 }
 
 void TpiinBuilder::AddTradingArc(NodeId seller, NodeId buyer) {
   saw_trading_arc_ = true;
-  if (LookupOrInsertArcKey(seller, buyer, kArcTrading) != kInvalidArc) {
-    return;
-  }
-  AppendArc(seller, buyer);
-  net_.arc_weight_.vec().push_back(1.0);
+  AppendArc(seller, buyer, 1.0);
 }
 
-void TpiinBuilder::AppendArc(NodeId src, NodeId dst) {
+void TpiinBuilder::AppendArc(NodeId src, NodeId dst, double weight) {
   const size_t num_nodes = net_.node_color_.vec().size();
   TPIIN_CHECK_LT(src, num_nodes) << "arc from a missing node";
   TPIIN_CHECK_LT(dst, num_nodes) << "arc to a missing node";
   net_.arc_src_.vec().push_back(src);
   net_.arc_dst_.vec().push_back(dst);
+  net_.arc_weight_.vec().push_back(weight);
+}
+
+void TpiinBuilder::DeduplicateArcs() {
+  std::vector<NodeId>& src = net_.arc_src_.vec();
+  std::vector<NodeId>& dst = net_.arc_dst_.vec();
+  std::vector<double>& weight = net_.arc_weight_.vec();
+  size_t kept = 0;
+  // Moves the first occurrences among rows [lo, hi) down to row `kept`.
+  const auto keep_first = [&](size_t lo, size_t hi) {
+    std::vector<uint64_t> keys(hi - lo);
+    for (size_t i = lo; i < hi; ++i) keys[i - lo] = PairKey(src[i], dst[i]);
+    const std::vector<uint32_t> first = FirstOccurrences(keys);
+    for (size_t i = lo; i < hi; ++i) {
+      double& kept_weight = weight[lo + first[i - lo]];
+      kept_weight = std::max(kept_weight, weight[i]);
+    }
+    for (size_t i = lo; i < hi; ++i) {
+      if (lo + first[i - lo] != i) continue;
+      src[kept] = src[i];
+      dst[kept] = dst[i];
+      weight[kept] = weight[i];
+      ++kept;
+    }
+  };
+  const size_t num_influence = net_.num_influence_arcs_;
+  keep_first(0, num_influence);
+  net_.num_influence_arcs_ = static_cast<ArcId>(kept);
+  keep_first(num_influence, src.size());
+  src.resize(kept);
+  dst.resize(kept);
+  weight.resize(kept);
 }
 
 void TpiinBuilder::AddIntraSyndicateTrade(NodeId syndicate, CompanyId seller,
@@ -135,6 +146,8 @@ Result<Tpiin> TpiinBuilder::Build(uint32_t num_threads) {
     return Status::FailedPrecondition(
         "influence arcs must all precede trading arcs");
   }
+
+  DeduplicateArcs();
 
   // Flatten the per-node investment stash into its CSR columns, then
   // seal every column: from here on the network is read-only and all

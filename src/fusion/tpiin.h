@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -203,7 +202,8 @@ class Tpiin {
 /// Constructs a Tpiin node by node. Used by the fusion pipeline and by
 /// tests/examples that specify small networks directly (e.g. the paper's
 /// Fig. 8 worked example). Influence arcs must all be added before the
-/// first trading arc; Build() enforces the invariants:
+/// first trading arc. Build() deduplicates each arc class, then enforces
+/// the invariants:
 ///  - influence arcs end at Company nodes;
 ///  - trading arcs connect Company nodes;
 ///  - the influence (antecedent) subgraph is acyclic.
@@ -216,10 +216,11 @@ class TpiinBuilder {
   NodeId AddCompanyNode(std::string_view label,
                         std::vector<CompanyId> members = {});
 
-  /// Adds an influence/trading arc. CNBM relationships are sets, so a
-  /// duplicate (endpoints and color both equal) is silently ignored —
-  /// except that a duplicate influence arc raises the stored weight to
-  /// the maximum seen (the strongest relationship evidences the link).
+  /// Appends an influence/trading arc. CNBM relationships are sets, so
+  /// Build() keeps the first of any arcs with equal endpoints and color,
+  /// at its first-occurrence arc id; a duplicate influence arc raises
+  /// the kept weight to the maximum (the strongest relationship
+  /// evidences the link).
   ///
   /// `weight` in (0, 1] quantifies influence strength (§7's future-work
   /// edge weights): 1.0 for a legal-person link or full ownership, the
@@ -240,28 +241,22 @@ class TpiinBuilder {
   void SetEntityMaps(std::vector<NodeId> person_node,
                      std::vector<NodeId> company_node);
 
-  /// Arcs added so far (after deduplication); lets the fusion pipeline
-  /// attribute arc counts to its stages.
-  ArcId NumArcsSoFar() const {
-    return static_cast<ArcId>(net_.arc_src_.vec().size());
-  }
-
-  /// Validates and returns the network; the builder is consumed. Builds
-  /// the CSR from the arc table while arc endpoint validation runs as a
-  /// concurrent task on the shared ThreadPool, then checks that the
-  /// antecedent layer is a DAG; the returned network is identical at any
-  /// thread count.
+  /// Validates and returns the network; the builder is consumed.
+  /// Deduplicates the arc table, builds the CSR from it while arc
+  /// endpoint validation runs as a concurrent task on the shared
+  /// ThreadPool, then checks that the antecedent layer is a DAG; the
+  /// returned network is identical at any thread count.
   Result<Tpiin> Build(uint32_t num_threads = 1);
 
  private:
-  /// Returns the existing arc id for this (src, dst, color) key, or
-  /// kInvalidArc after registering it as new.
-  ArcId LookupOrInsertArcKey(NodeId src, NodeId dst, ArcColor color);
-
   NodeId AddNode(NodeColor color, std::string_view label);
 
   /// Appends a row to the arc table; both endpoints must already exist.
-  void AppendArc(NodeId src, NodeId dst);
+  void AppendArc(NodeId src, NodeId dst, double weight);
+
+  /// Keeps, per arc class, the first row of each (src, dst) pair, folding
+  /// duplicate weights into it with std::max in row order.
+  void DeduplicateArcs();
 
   /// Checks the per-arc endpoint invariants (influence ends at Company,
   /// trading connects Companies, no trading self-loops).
@@ -275,7 +270,6 @@ class TpiinBuilder {
   /// Internal investments arrive per syndicate node in arbitrary order;
   /// Build() flattens them into the CSR columns.
   std::vector<std::vector<InvestmentArc>> staged_investments_;
-  std::unordered_map<uint64_t, ArcId> seen_arc_keys_;
   bool saw_trading_arc_ = false;
   bool failed_ordering_ = false;
 };

@@ -27,16 +27,6 @@ WccResult WeaklyConnectedComponents(
     const FrozenGraph& graph,
     FrozenArcClass arc_class = FrozenArcClass::kAll);
 
-/// Parallel driver: splits the node range into per-worker chunks, unions
-/// each chunk's out-arcs into a private forest on the shared ThreadPool,
-/// and merges the forests serially. Output (numbering and member order
-/// included) is bit-identical to the serial overload at any thread
-/// count, because the union-find partition — and the first-appearance
-/// numbering derived from it — depends only on the arc set.
-WccResult WeaklyConnectedComponents(const FrozenGraph& graph,
-                                    FrozenArcClass arc_class,
-                                    uint32_t num_threads);
-
 }  // namespace tpiin
 
 #endif  // TPIIN_GRAPH_CONNECTED_H_

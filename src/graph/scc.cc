@@ -3,10 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/trace.h"
-#include "graph/connected.h"
-#include "graph/frozen.h"
 
 namespace tpiin {
 
@@ -21,17 +18,12 @@ struct Frame {
   uint32_t arc_pos;
 };
 
-// Tarjan over any indexed adjacency view:
-//   view.Degree(v)  — number of out slots of v;
-//   view.Dst(v, i)  — target of slot i.
-// The whole-graph and the per-partition views funnel here so the serial
-// and parallel drivers stay behaviorally identical by construction. When
-// `completion_root` is non-null it receives, per emitted component, the
-// DFS tree root the component completed under — the partition-parallel
-// driver uses these tags to restore the serial numbering.
-template <typename View>
-SccResult TarjanImpl(NodeId n, const View& view,
-                     std::vector<NodeId>* completion_root = nullptr) {
+}  // namespace
+
+SccResult StronglyConnectedComponents(const FrozenGraph& graph,
+                                      FrozenArcClass arc_class) {
+  TPIIN_SPAN("scc");
+  const NodeId n = graph.NumNodes();
   SccResult result;
   result.component_of.assign(n, kUnvisited);
 
@@ -53,10 +45,10 @@ SccResult TarjanImpl(NodeId n, const View& view,
     while (!dfs.empty()) {
       Frame& frame = dfs.back();
       NodeId u = frame.node;
-      const uint32_t degree = view.Degree(u);
+      const std::span<const NodeId> out = graph.OutClass(u, arc_class).nodes;
       bool descended = false;
-      while (frame.arc_pos < degree) {
-        NodeId v = view.Dst(u, frame.arc_pos);
+      while (frame.arc_pos < out.size()) {
+        NodeId v = out[frame.arc_pos];
         ++frame.arc_pos;
         if (v == u) has_self_loop[u] = true;
         if (index[v] == kUnvisited) {
@@ -90,7 +82,6 @@ SccResult TarjanImpl(NodeId n, const View& view,
         if (nontrivial) {
           result.nontrivial_components.push_back(result.num_components);
         }
-        if (completion_root != nullptr) completion_root->push_back(root);
         result.members.push_back(std::move(comp));
         ++result.num_components;
       }
@@ -102,141 +93,6 @@ SccResult TarjanImpl(NodeId n, const View& view,
     }
   }
 
-  TPIIN_CHECK_EQ(result.members.size(), result.num_components);
-  return result;
-}
-
-struct FrozenView {
-  const FrozenGraph& graph;
-  FrozenArcClass arc_class;
-
-  uint32_t Degree(NodeId v) const {
-    return static_cast<uint32_t>(graph.OutClass(v, arc_class).size());
-  }
-  NodeId Dst(NodeId v, uint32_t i) const {
-    return graph.OutClass(v, arc_class).nodes[i];
-  }
-};
-
-// Adjacency restricted to one weak partition, in local ids: local node i
-// is members[i] (members sorted ascending, so local id order == global
-// id order within the partition, and the per-node neighbor order is the
-// untouched CSR span order — both facts the bit-identical renumbering
-// argument rests on).
-struct PartitionView {
-  const FrozenGraph& graph;
-  FrozenArcClass arc_class;
-  const std::vector<NodeId>& members;
-  const std::vector<NodeId>& local_of_global;
-
-  uint32_t Degree(NodeId v) const {
-    return static_cast<uint32_t>(
-        graph.OutClass(members[v], arc_class).size());
-  }
-  NodeId Dst(NodeId v, uint32_t i) const {
-    return local_of_global[graph.OutClass(members[v], arc_class).nodes[i]];
-  }
-};
-
-// Below this many nodes the WCC pass plus merge bookkeeping costs more
-// than the serial Tarjan it parallelizes.
-constexpr NodeId kParallelSccMinNodes = 1u << 13;
-
-}  // namespace
-
-SccResult StronglyConnectedComponents(const FrozenGraph& graph,
-                                      FrozenArcClass arc_class) {
-  TPIIN_SPAN("scc");
-  return TarjanImpl(graph.NumNodes(), FrozenView{graph, arc_class});
-}
-
-SccResult StronglyConnectedComponents(const FrozenGraph& graph,
-                                      FrozenArcClass arc_class,
-                                      uint32_t num_threads) {
-  const NodeId n = graph.NumNodes();
-  if (num_threads <= 1 || n < kParallelSccMinNodes) {
-    return StronglyConnectedComponents(graph, arc_class);
-  }
-  TPIIN_SPAN("scc_parallel");
-  WccResult wcc = WeaklyConnectedComponents(graph, arc_class, num_threads);
-  if (wcc.num_components <= 1) {
-    return StronglyConnectedComponents(graph, arc_class);
-  }
-
-  std::vector<NodeId> local_of_global(n);
-  ThreadPool::Global().ParallelFor(
-      wcc.num_components, num_threads, [&](size_t p) {
-        const std::vector<NodeId>& part = wcc.members[p];
-        for (size_t i = 0; i < part.size(); ++i) {
-          local_of_global[part[i]] = static_cast<NodeId>(i);
-        }
-      });
-
-  struct PartResult {
-    SccResult scc;
-    std::vector<NodeId> completion_roots;  // Local ids.
-    std::vector<uint8_t> nontrivial;       // Per local component.
-  };
-  std::vector<PartResult> parts(wcc.num_components);
-  ThreadPool::Global().ParallelFor(
-      wcc.num_components, num_threads, [&](size_t p) {
-        const std::vector<NodeId>& members = wcc.members[p];
-        PartResult& pr = parts[p];
-        pr.scc = TarjanImpl(
-            static_cast<NodeId>(members.size()),
-            PartitionView{graph, arc_class, members, local_of_global},
-            &pr.completion_roots);
-        pr.nontrivial.assign(pr.scc.num_components, 0);
-        for (NodeId c : pr.scc.nontrivial_components) pr.nontrivial[c] = 1;
-      });
-
-  // A component's serial number is its rank under (global id of the DFS
-  // root it completed under, per-partition completion index): the serial
-  // driver walks roots in ascending global id, and everything a root
-  // emits — and the order it emits it in — is confined to the root's
-  // partition.
-  struct Tag {
-    NodeId root_gid;
-    uint32_t part;
-    NodeId local;
-    bool nontrivial;
-  };
-  std::vector<Tag> tags;
-  NodeId total = 0;
-  for (uint32_t p = 0; p < wcc.num_components; ++p) {
-    total += parts[p].scc.num_components;
-  }
-  tags.reserve(total);
-  for (uint32_t p = 0; p < wcc.num_components; ++p) {
-    const PartResult& pr = parts[p];
-    for (NodeId c = 0; c < pr.scc.num_components; ++c) {
-      tags.push_back(Tag{wcc.members[p][pr.completion_roots[c]], p, c,
-                         pr.nontrivial[c] != 0});
-    }
-  }
-  std::sort(tags.begin(), tags.end(), [](const Tag& a, const Tag& b) {
-    if (a.root_gid != b.root_gid) return a.root_gid < b.root_gid;
-    return a.local < b.local;
-  });
-
-  SccResult result;
-  result.num_components = total;
-  result.component_of.resize(n);
-  result.members.resize(total);
-  ThreadPool::Global().ParallelFor(total, num_threads, [&](size_t k) {
-    const Tag& tag = tags[k];
-    const std::vector<NodeId>& part_nodes = wcc.members[tag.part];
-    const std::vector<NodeId>& locals =
-        parts[tag.part].scc.members[tag.local];
-    std::vector<NodeId> globals;
-    globals.reserve(locals.size());
-    for (NodeId lv : locals) globals.push_back(part_nodes[lv]);
-    for (NodeId g : globals) result.component_of[g] = static_cast<NodeId>(k);
-    result.members[k] = std::move(globals);
-  });
-  for (NodeId k = 0; k < total; ++k) {
-    if (tags[k].nontrivial) result.nontrivial_components.push_back(k);
-  }
   TPIIN_CHECK_EQ(result.members.size(), result.num_components);
   return result;
 }

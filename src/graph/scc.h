@@ -28,26 +28,11 @@ struct SccResult {
 
 /// Iterative Tarjan SCC over one arc class of the graph. O(V + E);
 /// recursion-free so million-node provinces cannot overflow the stack.
+/// The fusion layer depends on the numbering: SCC ids become TPIIN
+/// company-syndicate node ids.
 SccResult StronglyConnectedComponents(
     const FrozenGraph& graph,
     FrozenArcClass arc_class = FrozenArcClass::kAll);
-
-/// Partition-parallel driver: decomposes the graph into weakly connected
-/// partitions, runs an independent Tarjan over each partition on the
-/// shared ThreadPool, and renumbers the per-partition components to
-/// reproduce the serial driver's numbering exactly.
-///
-/// Why this is bit-identical: a serial Tarjan restricted to one weak
-/// partition behaves exactly like an isolated run on that partition (DFS
-/// can never cross a partition boundary, and roots are attempted in
-/// ascending node id within it). The serial global numbering is the
-/// per-partition completion sequences merged by (global id of the DFS
-/// root a component completed under, completion index) — which is the
-/// order this driver restores after the parallel phase. The fusion layer
-/// depends on this: SCC ids become TPIIN company-syndicate node ids.
-SccResult StronglyConnectedComponents(const FrozenGraph& graph,
-                                      FrozenArcClass arc_class,
-                                      uint32_t num_threads);
 
 }  // namespace tpiin
 

@@ -1,10 +1,5 @@
 #include "graph/union_find.h"
 
-#include <algorithm>
-#include <memory>
-
-#include "common/thread_pool.h"
-
 namespace tpiin {
 
 std::vector<NodeId> UnionFind::DenseComponentIds() {
@@ -17,39 +12,6 @@ std::vector<NodeId> UnionFind::DenseComponentIds() {
     ids[i] = root_to_dense[r];
   }
   return ids;
-}
-
-namespace {
-
-// Below this many arcs the serial scan wins: each private forest costs
-// O(num_nodes) to construct and O(num_nodes) to merge.
-constexpr size_t kParallelUnionMinArcs = 1u << 14;
-
-}  // namespace
-
-UnionFind UnionArcs(NodeId num_nodes, std::span<const Arc> arcs,
-                    uint32_t num_threads) {
-  if (num_threads <= 1 || arcs.size() < kParallelUnionMinArcs) {
-    UnionFind uf(num_nodes);
-    for (const Arc& arc : arcs) uf.Union(arc.src, arc.dst);
-    return uf;
-  }
-
-  const size_t chunks =
-      std::min<size_t>(num_threads, (arcs.size() + kParallelUnionMinArcs - 1) /
-                                        kParallelUnionMinArcs);
-  std::vector<std::unique_ptr<UnionFind>> forests(chunks);
-  ThreadPool::Global().ParallelFor(chunks, num_threads, [&](size_t c) {
-    auto uf = std::make_unique<UnionFind>(num_nodes);
-    const size_t lo = arcs.size() * c / chunks;
-    const size_t hi = arcs.size() * (c + 1) / chunks;
-    for (size_t i = lo; i < hi; ++i) uf->Union(arcs[i].src, arcs[i].dst);
-    forests[c] = std::move(uf);
-  });
-
-  UnionFind merged = std::move(*forests[0]);
-  for (size_t c = 1; c < chunks; ++c) merged.MergeFrom(*forests[c]);
-  return merged;
 }
 
 }  // namespace tpiin

@@ -2,7 +2,7 @@
 #define TPIIN_GRAPH_UNION_FIND_H_
 
 #include <cstdint>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -52,15 +52,6 @@ class UnionFind {
     return static_cast<NodeId>(parent_.size()) + num_sets_delta_;
   }
 
-  /// Folds another forest over the same element universe into this one:
-  /// afterwards this partition is the join of the two (every pair
-  /// connected in either input is connected here). The parallel union
-  /// drivers use this to combine per-worker forests; the result depends
-  /// only on the combined arc set, not on how it was chunked.
-  void MergeFrom(UnionFind& other) {
-    for (NodeId v = 0; v < parent_.size(); ++v) Union(v, other.Find(v));
-  }
-
   /// Assigns dense component ids [0, NumSets()) in order of first
   /// appearance; returns component id per element.
   std::vector<NodeId> DenseComponentIds();
@@ -70,16 +61,6 @@ class UnionFind {
   std::vector<NodeId> size_;
   int64_t num_sets_delta_ = 0;
 };
-
-/// Builds the union-find partition of [0, num_nodes) induced by an arc
-/// list, unioning src with dst for every arc. With num_threads > 1 the
-/// arc range is split into per-worker chunks, each worker unions its
-/// chunk into a private forest, and the forests are merged serially —
-/// union-find partitions are union-order independent, so the partition
-/// (and hence DenseComponentIds) is identical to a serial scan at any
-/// thread count. Backs the person-syndicate edge contraction.
-UnionFind UnionArcs(NodeId num_nodes, std::span<const Arc> arcs,
-                    uint32_t num_threads = 1);
 
 }  // namespace tpiin
 

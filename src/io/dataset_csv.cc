@@ -6,6 +6,7 @@
 #include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
+#include "obs/trace.h"
 
 namespace tpiin {
 
@@ -179,6 +180,7 @@ Result<uint32_t> ResolveRef(const IdMap& ids, const std::string& field,
 Result<RawDataset> LoadDatasetCsv(const std::string& directory,
                                   const IngestOptions& options,
                                   LoadReport* report) {
+  TPIIN_SPAN("load_dataset_csv");
   TPIIN_FAILPOINT("io.dataset.load");
   LoadReport local_report;
   if (report == nullptr) report = &local_report;

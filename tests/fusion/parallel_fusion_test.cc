@@ -89,10 +89,7 @@ TEST_P(ParallelFusionTest, RandomProvincesAreIdentical) {
   }
 }
 
-TEST_P(ParallelFusionTest, AboveParallelThresholdProvinceIsIdentical) {
-  // Sized so the fused graph clears the parallel-engagement thresholds
-  // (2^13 nodes / 2^14 arcs) and the concurrent contraction/SCC/WCC
-  // drivers actually run, not just their serial fallbacks.
+TEST_P(ParallelFusionTest, LargeProvinceIsIdentical) {
   ProvinceConfig config = SmallProvinceConfig(6000, 3);
   config.trading_probability = 0.001;
   auto province = GenerateProvince(config);

@@ -120,6 +120,30 @@ TEST(PipelineTest, TradingArcsDedupAndMapThroughContraction) {
   auto fused = BuildTpiin(data);
   ASSERT_TRUE(fused.ok());
   EXPECT_EQ(fused->stats.trading_arcs, 2u);
+
+  // C1 and C2 contract into one syndicate. Each sells to C3, which maps
+  // to one arc; the two trades between them stay two records.
+  RawDataset syndicate = BaseDataset();
+  syndicate.AddInvestment(0, 1, 0.6);
+  syndicate.AddInvestment(1, 0, 0.6);
+  syndicate.AddTrade(0, 2);
+  syndicate.AddTrade(0, 1);
+  syndicate.AddTrade(1, 2);
+  syndicate.AddTrade(1, 0);
+  auto contracted = BuildTpiin(syndicate);
+  ASSERT_TRUE(contracted.ok());
+  const Tpiin& net = contracted->tpiin;
+  EXPECT_EQ(contracted->stats.trading_arcs, 1u);
+  ASSERT_EQ(net.num_trading_arcs(), 1u);
+  const Arc arc = net.arc(net.num_influence_arcs());
+  EXPECT_EQ(arc.src, net.NodeOfCompany(0));
+  EXPECT_EQ(arc.dst, net.NodeOfCompany(2));
+  EXPECT_EQ(contracted->stats.intra_syndicate_trades, 2u);
+  ASSERT_EQ(net.intra_syndicate_trades().size(), 2u);
+  EXPECT_EQ(net.intra_syndicate_trades()[0].seller, 0u);
+  EXPECT_EQ(net.intra_syndicate_trades()[0].buyer, 1u);
+  EXPECT_EQ(net.intra_syndicate_trades()[1].seller, 1u);
+  EXPECT_EQ(net.intra_syndicate_trades()[1].buyer, 0u);
 }
 
 TEST(PipelineTest, WorkedExampleMatchesDirectConstruction) {

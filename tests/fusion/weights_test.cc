@@ -24,6 +24,25 @@ TEST(WeightsTest, BuilderKeepsMaximumOnDuplicates) {
   ASSERT_TRUE(net.ok());
   ASSERT_EQ(net->NumArcs(), 1u);
   EXPECT_DOUBLE_EQ(net->ArcWeight(0), 0.9);
+
+  // Two keys interleaved a, b, a, b, a, each key's maximum last: arc
+  // ids follow first occurrence and each weight is its key's maximum.
+  TpiinBuilder interleaved;
+  NodeId q = interleaved.AddPersonNode("Q");
+  NodeId a = interleaved.AddCompanyNode("A");
+  NodeId b = interleaved.AddCompanyNode("B");
+  interleaved.AddInfluenceArc(q, b, 0.2);
+  interleaved.AddInfluenceArc(q, a, 0.3);
+  interleaved.AddInfluenceArc(q, b, 0.6);
+  interleaved.AddInfluenceArc(q, a, 0.4);
+  interleaved.AddInfluenceArc(q, b, 0.8);
+  auto two = interleaved.Build();
+  ASSERT_TRUE(two.ok());
+  ASSERT_EQ(two->NumArcs(), 2u);
+  EXPECT_EQ(two->arc(0).dst, b);
+  EXPECT_EQ(two->arc(1).dst, a);
+  EXPECT_DOUBLE_EQ(two->ArcWeight(0), 0.8);
+  EXPECT_DOUBLE_EQ(two->ArcWeight(1), 0.4);
 }
 
 TEST(WeightsTest, TradingArcsCarryUnitWeight) {
