@@ -725,7 +725,8 @@ Status RunShardBuild(const std::vector<std::string>& args,
   flags.DefineString("data", "", "CSV dataset directory to shard");
   flags.DefineString("out", "", "output directory for the sharded build");
   flags.DefineInt64("shards", 4, "number of shards");
-  flags.DefineInt64("threads", 1, "threads inside each per-shard fusion");
+  flags.DefineInt64("threads", 1,
+                    "threads inside each per-shard fusion (0 = auto-detect)");
   flags.DefineInt64("spill-buffer-kb", 1024,
                     "per-(shard, table) routing buffer");
   flags.DefineBool("keep-spill", false,
@@ -746,12 +747,10 @@ Status RunShardBuild(const std::vector<std::string>& args,
   ObsOutputs obs(flags);
   obs.Begin();
   RunReport report("shard_build");
-  report.set_threads(ResolveThreadCount(
-      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt64("threads")))));
   ShardBuildOptions options;
   options.num_shards = static_cast<uint32_t>(flags.GetInt64("shards"));
   options.num_threads =
-      static_cast<uint32_t>(std::max<int64_t>(1, flags.GetInt64("threads")));
+      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt64("threads")));
   options.spill_buffer_bytes = static_cast<size_t>(
       std::max<int64_t>(4, flags.GetInt64("spill-buffer-kb")) * 1024);
   options.keep_spill = flags.GetBool("keep-spill");
@@ -782,7 +781,8 @@ Status RunShardDetect(const std::vector<std::string>& args,
                       std::ostream& out, int* exit_code) {
   FlagParser flags;
   flags.DefineString("dir", "", "sharded build directory");
-  flags.DefineInt64("threads", 1, "threads inside one shard's detection");
+  flags.DefineInt64("threads", 1,
+                    "threads inside one shard's detection (0 = auto-detect)");
   flags.DefineInt64("shard-parallel", 1, "shards detected concurrently");
   flags.DefineString("report", "", "machine-readable run report (JSON)");
   flags.DefineString("trace-out", "",
@@ -795,11 +795,9 @@ Status RunShardDetect(const std::vector<std::string>& args,
   ObsOutputs obs(flags);
   obs.Begin();
   RunReport report("shard_detect");
-  report.set_threads(ResolveThreadCount(
-      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt64("threads")))));
   ShardDetectOptions options;
   options.num_threads =
-      static_cast<uint32_t>(std::max<int64_t>(1, flags.GetInt64("threads")));
+      static_cast<uint32_t>(std::max<int64_t>(0, flags.GetInt64("threads")));
   options.shard_parallel = static_cast<uint32_t>(
       std::max<int64_t>(1, flags.GetInt64("shard-parallel")));
   options.budget = BudgetFromFlags(flags);

@@ -149,9 +149,9 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
     }
     const SubTpiin& sub = subs[index];
     PatternGenOptions gen_options;
-    // Mining runs off the patterns tree; the flat trail base is only
-    // materialized when the caller wants the Fig. 10 artifacts.
-    gen_options.emit_trails = options.emit_pattern_bases;
+    // Mining runs off the patterns tree; the flat trail bases (Fig. 10
+    // artifacts) come from GeneratePatternBase directly.
+    gen_options.emit_trails = false;
     gen_options.max_trails = options.max_trails_per_subtpiin;
     gen_options.deadline = Deadline::Sooner(
         run_deadline, Deadline::After(options.budget.sub_slice_seconds));

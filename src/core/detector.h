@@ -77,9 +77,6 @@ const char* SubSkipName(SubSkip skip);
 
 struct DetectorOptions {
   MatchOptions match;
-  /// Also materialize the flat trail bases (Fig. 10 artifacts); mining
-  /// itself consumes only the patterns trees.
-  bool emit_pattern_bases = false;
   /// Detect intra-syndicate trades.
   bool include_intra_syndicate = true;
   /// Trail-generation safety valves (0 = unlimited).

@@ -3,7 +3,10 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
+
+#include "obs/metrics.h"
 
 namespace tpiin {
 
@@ -28,11 +31,15 @@ namespace tpiin {
 /// All waits are bounded by construction: a slot holder always runs on
 /// a live worker thread, so it releases; Abort() (the forced phase of
 /// server drain) unblocks every waiter.
+///
+/// `inflight` (which must outlive the controller) is set to the number
+/// of held slots under the same lock that changes it.
 class AdmissionController {
  public:
-  AdmissionController(size_t max_inflight, size_t max_queue)
+  AdmissionController(size_t max_inflight, size_t max_queue, Gauge& inflight)
       : max_inflight_(max_inflight == 0 ? 1 : max_inflight),
-        max_queue_(max_queue) {}
+        max_queue_(max_queue),
+        inflight_gauge_(inflight) {}
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -54,19 +61,17 @@ class AdmissionController {
   /// False when Abort() ended the wait — the request is refused busy.
   bool AcquireRequestSlot() {
     std::unique_lock<std::mutex> lock(mu_);
-    ++queued_;
     cv_.wait(lock,
              [this] { return aborted_ || inflight_ < max_inflight_; });
-    --queued_;
     if (aborted_) return false;
-    ++inflight_;
+    inflight_gauge_.Set(static_cast<int64_t>(++inflight_));
     return true;
   }
 
   void ReleaseRequestSlot() {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      --inflight_;
+      inflight_gauge_.Set(static_cast<int64_t>(--inflight_));
     }
     cv_.notify_one();
   }
@@ -81,29 +86,14 @@ class AdmissionController {
     cv_.notify_all();
   }
 
-  size_t connections() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return connections_;
-  }
-  size_t inflight() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return inflight_;
-  }
-  size_t queued() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return queued_;
-  }
-  size_t max_inflight() const { return max_inflight_; }
-  size_t max_queue() const { return max_queue_; }
-
  private:
   const size_t max_inflight_;
   const size_t max_queue_;
-  mutable std::mutex mu_;
+  Gauge& inflight_gauge_;
+  std::mutex mu_;
   std::condition_variable cv_;
   size_t connections_ = 0;
   size_t inflight_ = 0;
-  size_t queued_ = 0;
   bool aborted_ = false;
 };
 

@@ -27,17 +27,24 @@ namespace tpiin {
 /// Put is a no-op) — the "cold every time" configuration the
 /// byte-identity tests diff against.
 ///
-/// Hit/miss/eviction counts are written to the caller-provided
-/// obs Counters (nullable) and mirrored in local atomics for the
-/// `stats` verb.
+/// The cache keeps no counts of its own: hits, misses, evictions,
+/// resident entries and capacity live in `metrics` under `prefix`
+/// (`<prefix>hit`, `<prefix>miss`, `<prefix>eviction`,
+/// `<prefix>entries`, `<prefix>capacity`), which must outlive the
+/// cache. The accessors below read them back.
 template <typename V>
 class LruCache {
  public:
-  explicit LruCache(size_t capacity, Counter* hit_counter = nullptr,
-                    Counter* miss_counter = nullptr)
+  LruCache(size_t capacity, MetricsRegistry& metrics,
+           const std::string& prefix)
       : capacity_(capacity),
-        hit_counter_(hit_counter),
-        miss_counter_(miss_counter) {}
+        hit_count_(metrics.GetCounter(prefix + "hit")),
+        miss_count_(metrics.GetCounter(prefix + "miss")),
+        eviction_count_(metrics.GetCounter(prefix + "eviction")),
+        size_gauge_(metrics.GetGauge(prefix + "entries")) {
+    metrics.GetGauge(prefix + "capacity")
+        .Set(static_cast<int64_t>(capacity));
+  }
 
   LruCache(const LruCache&) = delete;
   LruCache& operator=(const LruCache&) = delete;
@@ -47,13 +54,11 @@ class LruCache {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it == index_.end()) {
-      ++misses_;
-      if (miss_counter_ != nullptr) miss_counter_->Add(1);
+      miss_count_.Add(1);
       return nullptr;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
-    if (hit_counter_ != nullptr) hit_counter_->Add(1);
+    hit_count_.Add(1);
     return it->second->value;
   }
 
@@ -73,8 +78,9 @@ class LruCache {
     if (lru_.size() > capacity_) {
       index_.erase(lru_.back().key);
       lru_.pop_back();
-      ++evictions_;
+      eviction_count_.Add(1);
     }
+    size_gauge_.Set(static_cast<int64_t>(lru_.size()));
   }
 
   size_t size() const {
@@ -89,12 +95,6 @@ class LruCache {
     return index_.find(key) != index_.end();
   }
 
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    lru_.clear();
-    index_.clear();
-  }
-
   /// Evicts every entry whose key starts with `prefix` and returns how
   /// many were dropped. The hot-reload path uses this to discard a
   /// retired generation's entries (keys embed the snapshot CRC, so a
@@ -107,28 +107,20 @@ class LruCache {
       if (it->key.compare(0, prefix.size(), prefix) == 0) {
         index_.erase(it->key);
         it = lru_.erase(it);
-        ++evictions_;
         ++dropped;
       } else {
         ++it;
       }
     }
+    eviction_count_.Add(dropped);
+    size_gauge_.Set(static_cast<int64_t>(lru_.size()));
     return dropped;
   }
 
   size_t capacity() const { return capacity_; }
-  uint64_t hits() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
-  }
-  uint64_t misses() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return misses_;
-  }
-  uint64_t evictions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return evictions_;
-  }
+  uint64_t hits() const { return hit_count_.Value(); }
+  uint64_t misses() const { return miss_count_.Value(); }
+  uint64_t evictions() const { return eviction_count_.Value(); }
 
  private:
   struct Entry {
@@ -137,15 +129,14 @@ class LruCache {
   };
 
   const size_t capacity_;
-  Counter* const hit_counter_;
-  Counter* const miss_counter_;
+  Counter& hit_count_;
+  Counter& miss_count_;
+  Counter& eviction_count_;
+  Gauge& size_gauge_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // Front = most recently used.
   std::unordered_map<std::string, typename std::list<Entry>::iterator>
       index_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
 };
 
 }  // namespace tpiin

@@ -23,7 +23,8 @@ namespace tpiin {
 ///   groups?company=C0017&id=7
 ///
 /// Recognized fields (everything else is rejected as malformed):
-///   verb          groups | explain | rescore | stats | healthz | reload
+///   verb          groups | explain | rescore | stats | metrics | slow |
+///                 healthz | reload (any other verb is answered `error`)
 ///   company       company label (groups filter; required by explain)
 ///   sub           subTPIIN emission index (required by rescore)
 ///   id            opaque caller tag, echoed in the response
@@ -56,7 +57,10 @@ namespace tpiin {
 /// For `groups`, `explain` and `rescore` the payload is text that is
 /// byte-identical to the corresponding batch CLI artifact (susGroup.txt
 /// lines, the `tpiin explain` dossier, the rescore report); for `stats`
-/// it is a RunReport-style JSON document; for `healthz` it is "ok\n".
+/// it is a RunReport-style JSON document, for `metrics` the Prometheus
+/// text format, for `slow` a JSON list of the slowest requests; for
+/// `healthz` it starts with "ok\n" and for `reload` it names the
+/// serving generation.
 struct Request {
   std::string verb;
   std::string company;

@@ -24,11 +24,16 @@ Status CheckFailpoint(const char* site) {
 
 SnapshotRegistry::SnapshotRegistry(const ServiceOptions& service_options,
                                    const SnapshotOpenOptions& open_options,
-                                   MetricsRegistry* metrics,
+                                   MetricsRegistry& metrics,
                                    JsonLogSink* event_sink)
     : service_options_(service_options),
       open_options_(open_options),
       event_sink_(event_sink),
+      attempts_(metrics.GetCounter("serve.reload.attempts")),
+      swaps_(metrics.GetCounter("serve.reload.success")),
+      noops_(metrics.GetCounter("serve.reload.unchanged")),
+      failures_(metrics.GetCounter("serve.reload.failures")),
+      generation_(metrics.GetGauge("serve.generation")),
       shared_(service_options, metrics) {}
 
 Result<std::shared_ptr<SnapshotGeneration>> SnapshotRegistry::OpenCandidate(
@@ -47,7 +52,7 @@ Result<std::shared_ptr<SnapshotGeneration>> SnapshotRegistry::OpenCandidate(
 }
 
 Status SnapshotRegistry::Fail(const std::string& path, const Status& status) {
-  failures_.fetch_add(1, std::memory_order_relaxed);
+  failures_.Add(1);
   TPIIN_LOG(Warning) << "snapshot reload rejected (" << path
                      << "): " << status.ToString()
                      << "; keeping current generation";
@@ -71,6 +76,7 @@ Status SnapshotRegistry::LoadInitial(const std::string& path) {
                          OpenCandidate(path));
   std::lock_guard<std::mutex> lock(mu_);
   generation->id = next_id_++;
+  generation_.Set(static_cast<int64_t>(generation->id));
   current_ = std::move(generation);
   return Status::OK();
 }
@@ -78,7 +84,7 @@ Status SnapshotRegistry::LoadInitial(const std::string& path) {
 Result<ReloadOutcome> SnapshotRegistry::Reload(
     const std::string& path_override) {
   std::lock_guard<std::mutex> reload_lock(reload_mu_);
-  attempts_.fetch_add(1, std::memory_order_relaxed);
+  attempts_.Add(1);
 
   std::shared_ptr<SnapshotGeneration> old;
   {
@@ -110,7 +116,7 @@ Result<ReloadOutcome> SnapshotRegistry::Reload(
     // Same content as what is serving (the common logrotate-SIGHUP
     // case): drop the freshly validated copy, keep the old generation
     // and its warm caches. Deliberately quiet — no access-log event.
-    noops_.fetch_add(1, std::memory_order_relaxed);
+    noops_.Add(1);
     TPIIN_LOG(Info) << "snapshot reload: " << path << " unchanged (crc "
                     << StringPrintf("%08x", old->crc()) << "), no-op";
     ReloadOutcome outcome;
@@ -128,6 +134,7 @@ Result<ReloadOutcome> SnapshotRegistry::Reload(
   {
     std::lock_guard<std::mutex> lock(mu_);
     fresh->id = next_id_++;
+    generation_.Set(static_cast<int64_t>(fresh->id));
     current_ = fresh;
   }
 
@@ -141,7 +148,7 @@ Result<ReloadOutcome> SnapshotRegistry::Reload(
   const size_t evicted = shared_.bundle_cache.EvictKeysWithPrefix(dead_prefix) +
                          shared_.sub_cache.EvictKeysWithPrefix(dead_prefix);
 
-  swaps_.fetch_add(1, std::memory_order_relaxed);
+  swaps_.Add(1);
   TPIIN_LOG(Info) << "snapshot reload: generation " << fresh->id << " ("
                   << path << ", crc "
                   << StringPrintf("%08x", fresh->crc()) << ") replaces "

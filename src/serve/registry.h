@@ -1,7 +1,6 @@
 #ifndef TPIIN_SERVE_REGISTRY_H_
 #define TPIIN_SERVE_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -70,16 +69,17 @@ struct ReloadOutcome {
 /// concurrent SIGHUP + verb reloads queue instead of racing.
 class SnapshotRegistry {
  public:
-  /// `metrics` (nullable) receives the shared caches' serve.cache.*
-  /// counters; the reload counters themselves live in registry atomics
-  /// (the daemon renders them into its Prometheus families, so they are
-  /// present — at zero — from startup). `event_sink` (nullable)
-  /// receives one structured event per swap ("reload") and per rejected
-  /// candidate ("reload_failed") — the daemon wires its access log
-  /// here. Both must outlive the registry.
+  /// `metrics` owns every count the registry keeps: the reload counters
+  /// (serve.reload.{attempts,success,unchanged,failures}), the serving
+  /// generation gauge (serve.generation) and the shared caches'
+  /// serve.cache.* entries, all registered here so they exist — at
+  /// zero — from startup. `event_sink` (nullable) receives one
+  /// structured event per swap ("reload") and per rejected candidate
+  /// ("reload_failed") — the daemon wires its access log here. Both
+  /// must outlive the registry.
   SnapshotRegistry(const ServiceOptions& service_options,
                    const SnapshotOpenOptions& open_options,
-                   MetricsRegistry* metrics, JsonLogSink* event_sink);
+                   MetricsRegistry& metrics, JsonLogSink* event_sink);
 
   SnapshotRegistry(const SnapshotRegistry&) = delete;
   SnapshotRegistry& operator=(const SnapshotRegistry&) = delete;
@@ -99,19 +99,12 @@ class SnapshotRegistry {
   /// The serving generation (never null after LoadInitial succeeds).
   std::shared_ptr<const SnapshotGeneration> Current() const;
 
-  /// Lifetime reload counters (attempts = swaps + no-ops + failures).
-  uint64_t reload_attempts() const {
-    return attempts_.load(std::memory_order_relaxed);
-  }
-  uint64_t reload_swaps() const {
-    return swaps_.load(std::memory_order_relaxed);
-  }
-  uint64_t reload_noops() const {
-    return noops_.load(std::memory_order_relaxed);
-  }
-  uint64_t reload_failures() const {
-    return failures_.load(std::memory_order_relaxed);
-  }
+  /// Lifetime reload counters (attempts = swaps + no-ops + failures),
+  /// read back from the metrics registry.
+  uint64_t reload_attempts() const { return attempts_.Value(); }
+  uint64_t reload_swaps() const { return swaps_.Value(); }
+  uint64_t reload_noops() const { return noops_.Value(); }
+  uint64_t reload_failures() const { return failures_.Value(); }
 
   const ServeSharedState& shared_state() const { return shared_; }
 
@@ -129,6 +122,11 @@ class SnapshotRegistry {
   const ServiceOptions service_options_;
   const SnapshotOpenOptions open_options_;
   JsonLogSink* const event_sink_;
+  Counter& attempts_;
+  Counter& swaps_;
+  Counter& noops_;
+  Counter& failures_;
+  Gauge& generation_;
   /// Cache/arena substrate shared across generations; outlives every
   /// generation's QueryService.
   ServeSharedState shared_;
@@ -140,11 +138,6 @@ class SnapshotRegistry {
   mutable std::mutex mu_;
   std::shared_ptr<SnapshotGeneration> current_;
   uint64_t next_id_ = 1;
-
-  std::atomic<uint64_t> attempts_{0};
-  std::atomic<uint64_t> swaps_{0};
-  std::atomic<uint64_t> noops_{0};
-  std::atomic<uint64_t> failures_{0};
 };
 
 }  // namespace tpiin

@@ -81,20 +81,45 @@ Status CheckFailpoint(const char* site) {
   return Failpoints::Check(site);
 }
 
-/// TraceSpan names must have static storage; map the (dynamic) verb to
-/// its literal. Unknown verbs share one bucket — the trace is a latency
-/// picture, not a request log (that is the access log's job).
-const char* SpanNameForVerb(const std::string& verb) {
-  if (verb == "groups") return "serve.groups";
-  if (verb == "explain") return "serve.explain";
-  if (verb == "rescore") return "serve.rescore";
-  if (verb == "stats") return "serve.stats";
-  if (verb == "metrics") return "serve.metrics";
-  if (verb == "slow") return "serve.slow";
-  if (verb == "healthz") return "serve.healthz";
-  if (verb == "reload") return "serve.reload";
-  if (verb == "malformed") return "serve.malformed";
-  return "serve.other";
+/// (registry entry, section, key) of each stats key in the reload,
+/// requests and cache sections, in render order: `stats` and the
+/// Prometheus text read one registry, so they can never disagree.
+constexpr const char* kStatsKeys[][3] = {
+    {"serve.reload.attempts", "reload", "attempts"},
+    {"serve.reload.success", "reload", "swaps"},
+    {"serve.reload.unchanged", "reload", "noops"},
+    {"serve.reload.failures", "reload", "failures"},
+    {"serve.connections.accepted", "requests", "connections_accepted"},
+    {"serve.connections.refused", "requests", "connections_refused"},
+    {"serve.requests", "requests", "requests"},
+    {"serve.requests.ok", "requests", "ok"},
+    {"serve.requests.degraded", "requests", "degraded"},
+    {"serve.requests.busy", "requests", "busy"},
+    {"serve.requests.errors", "requests", "errors"},
+    {"serve.requests.read_errors", "requests", "read_errors"},
+    {"serve.requests.write_errors", "requests", "write_errors"},
+    {"serve.inflight", "requests", "inflight"},
+    // The caches are shared across generations (keys embed each
+    // generation's CRC), so these are daemon-lifetime totals.
+    {"serve.cache.bundle_entries", "cache", "bundle_entries"},
+    {"serve.cache.bundle_capacity", "cache", "bundle_capacity"},
+    {"serve.cache.bundle_hit", "cache", "bundle_hits"},
+    {"serve.cache.bundle_miss", "cache", "bundle_misses"},
+    {"serve.cache.bundle_eviction", "cache", "bundle_evictions"},
+    {"serve.cache.entries", "cache", "sub_entries"},
+    {"serve.cache.capacity", "cache", "sub_capacity"},
+    {"serve.cache.hit", "cache", "sub_hits"},
+    {"serve.cache.miss", "cache", "sub_misses"},
+    {"serve.cache.eviction", "cache", "sub_evictions"},
+};
+
+Response OkResponse(const Request& request, std::string payload) {
+  Response resp;
+  resp.id = request.id;
+  resp.verb = request.verb;
+  resp.status = "ok";
+  resp.payload = std::move(payload);
+  return resp;
 }
 
 const char* CacheToken(RequestTelemetry::Cache cache) {
@@ -113,8 +138,56 @@ const char* CacheToken(RequestTelemetry::Cache cache) {
 
 Server::Server(const ServeOptions& options)
     : options_(options),
-      admission_(options.max_inflight, options.max_queue),
-      slow_ring_(options.slow_requests) {}
+      admission_(options.max_inflight, options.max_queue,
+                 metrics_.GetGauge("serve.inflight")),
+      connections_accepted_(metrics_.GetCounter("serve.connections.accepted")),
+      connections_refused_(metrics_.GetCounter("serve.connections.refused")),
+      requests_(metrics_.GetCounter("serve.requests")),
+      ok_(metrics_.GetCounter("serve.requests.ok")),
+      degraded_(metrics_.GetCounter("serve.requests.degraded")),
+      busy_(metrics_.GetCounter("serve.requests.busy")),
+      errors_(metrics_.GetCounter("serve.requests.errors")),
+      read_errors_(metrics_.GetCounter("serve.requests.read_errors")),
+      write_errors_(metrics_.GetCounter("serve.requests.write_errors")),
+      connections_active_(metrics_.GetGauge("serve.connections.active")),
+      queue_us_(metrics_.GetHistogram("serve.queue_us")),
+      uptime_ms_(metrics_.GetGauge("serve.uptime_ms")),
+      current_rss_bytes_(metrics_.GetGauge("process.current_rss_bytes")),
+      peak_rss_bytes_(metrics_.GetGauge("process.peak_rss_bytes")),
+      slow_ring_(options.slow_requests) {
+  // The verb table: every verb the daemon answers, declared once. The
+  // last two rows never match a wire verb: `other` serves any verb not
+  // listed (answered "unknown verb"), `malformed` a line that did not
+  // parse. No metric or span name comes from the wire, and every
+  // family exists, at zero, from the first scrape.
+  verbs_ = {
+      {"groups", "serve.groups", &Server::HandleQueryVerb},
+      {"explain", "serve.explain", &Server::HandleQueryVerb},
+      {"rescore", "serve.rescore", &Server::HandleQueryVerb},
+      {"stats", "serve.stats", &Server::HandleStatsVerb},
+      {"metrics", "serve.metrics", &Server::HandleMetricsVerb},
+      {"slow", "serve.slow", &Server::HandleSlowVerb},
+      {"healthz", "serve.healthz", &Server::HandleHealthzVerb},
+      {"reload", "serve.reload", &Server::HandleReloadVerb},
+      {"other", "serve.other", &Server::HandleQueryVerb},
+      {"malformed", "serve.malformed", nullptr},
+  };
+  for (Verb& verb : verbs_) {
+    verb.requests =
+        &metrics_.GetCounter(std::string("serve.requests.") + verb.name);
+    verb.latency =
+        &metrics_.GetHistogram(std::string("serve.latency_us.") + verb.name);
+  }
+}
+
+const Server::Verb& Server::VerbFor(const Result<Request>& request) const {
+  if (!request.ok()) return verbs_.back();
+  // The last two rows (other, malformed) are never matched by name.
+  for (size_t i = 0; i + 2 < verbs_.size(); ++i) {
+    if (request->verb == verbs_[i].name) return verbs_[i];
+  }
+  return verbs_[verbs_.size() - 2];
+}
 
 Result<std::unique_ptr<Server>> Server::Start(const ServeOptions& options) {
   std::unique_ptr<Server> server(new Server(options));
@@ -131,7 +204,7 @@ Result<std::unique_ptr<Server>> Server::Start(const ServeOptions& options) {
   SnapshotOpenOptions open_options;
   open_options.verify_checksums = options.verify_checksums;
   server->registry_ = std::make_unique<SnapshotRegistry>(
-      options.service, open_options, &server->metrics_,
+      options.service, open_options, server->metrics_,
       server->access_log_.get());
   TPIIN_RETURN_IF_ERROR(
       server->registry_->LoadInitial(options.snapshot_path));
@@ -277,9 +350,10 @@ void Server::AcceptLoop() {
       break;
     }
     // 1-based accept serial; the "c" half of this connection's request
-    // IDs ("c<conn>-r<seq>").
-    const uint64_t conn_id =
-        connections_accepted_.fetch_add(1, std::memory_order_relaxed) + 1;
+    // IDs ("c<conn>-r<seq>"). Only this thread bumps the accepted
+    // counter, so its value is the serial.
+    connections_accepted_.Add(1);
+    const uint64_t conn_id = connections_accepted_.Value();
     // Every write on this connection (including the busy refusal below)
     // is bounded: a client that stops draining cannot stall a thread.
     SetWriteTimeout(fd, options_.write_deadline_seconds);
@@ -294,8 +368,8 @@ void Server::AcceptLoop() {
     // deterministic function of open connections — not of worker
     // scheduling. A refused connection gets one busy line and is closed.
     if (!admission_.TryEnterConnection()) {
-      connections_refused_.fetch_add(1, std::memory_order_relaxed);
-      busy_.fetch_add(1, std::memory_order_relaxed);
+      connections_refused_.Add(1);
+      busy_.Add(1);
       Response resp;
       // r0: refused before any request line was read.
       resp.request_id =
@@ -324,6 +398,7 @@ void Server::AcceptLoop() {
       std::lock_guard<std::mutex> lock(mu_);
       open_fds_.insert(fd);
       ++active_connections_;
+      connections_active_.Set(static_cast<int64_t>(active_connections_));
       // A dedicated I/O thread, not a pool task: parked in recv it
       // costs one idle thread, never a pool worker. The admission cap
       // bounds how many exist at once; each hands itself back via
@@ -359,7 +434,7 @@ bool Server::ReadLine(int fd, std::string* buffer, std::string* line) {
       return true;
     }
     if (buffer->size() > options_.max_line_bytes) {
-      read_errors_.fetch_add(1, std::memory_order_relaxed);
+      read_errors_.Add(1);
       Response resp;
       resp.status = "error";
       resp.error = StringPrintf("request line over %zu bytes",
@@ -373,7 +448,7 @@ bool Server::ReadLine(int fd, std::string* buffer, std::string* line) {
       if (remaining <= 0) {
         // Slow loris: the line never completed inside its budget. Tell
         // the client why, then drop the connection.
-        read_errors_.fetch_add(1, std::memory_order_relaxed);
+        read_errors_.Add(1);
         Response resp;
         resp.status = "error";
         resp.error = StringPrintf(
@@ -414,13 +489,13 @@ bool Server::ReadLine(int fd, std::string* buffer, std::string* line) {
         }
         return false;  // Idle timeout.
       }
-      read_errors_.fetch_add(1, std::memory_order_relaxed);
+      read_errors_.Add(1);
       return false;
     }
     if (!CheckFailpoint("serve.read").ok()) {
       // Injected read fault: this connection is lost mid-stream; the
       // server keeps serving others.
-      read_errors_.fetch_add(1, std::memory_order_relaxed);
+      read_errors_.Add(1);
       return false;
     }
     if (!mid_line) {
@@ -491,23 +566,24 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     const std::string request_id = StringPrintf(
         "c%llu-r%llu", static_cast<unsigned long long>(conn_id),
         static_cast<unsigned long long>(request_seq));
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    metrics_.GetGauge("serve.inflight")
-        .Set(static_cast<int64_t>(admission_.inflight()));
+    requests_.Add(1);
 
     WallTimer timer;
     Response resp;
     RequestTelemetry telemetry;
     Result<Request> request = ParseRequestLine(line);
-    const std::string verb = request.ok() ? request->verb : "malformed";
+    const Verb& row = VerbFor(request);
+    // The raw verb names the request in the access log and the slow
+    // ring (both escape it); metrics and spans use the table row.
+    const std::string verb = request.ok() ? request->verb : row.name;
     {
 #if TPIIN_OBS_ENABLED
-      TraceSpan verb_span(SpanNameForVerb(verb));
+      TraceSpan verb_span(row.span);
 #endif
       if (!request.ok()) {
         resp.status = "error";
         resp.error = request.status().ToString();
-        read_errors_.fetch_add(1, std::memory_order_relaxed);
+        read_errors_.Add(1);
       } else if (!CheckFailpoint("serve.handle").ok()) {
         // Injected handler fault: this request errors, the connection
         // and the server carry on.
@@ -515,56 +591,26 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
         resp.verb = request->verb;
         resp.status = "error";
         resp.error = "injected failure at serve.handle";
-      } else if (request->verb == "stats") {
-        resp.id = request->id;
-        resp.verb = request->verb;
-        resp.status = "ok";
-        resp.payload = BuildStatsReport().ToJson();
-        metrics_.GetCounter("serve.requests.stats").Add(1);
-      } else if (request->verb == "metrics") {
-        resp.id = request->id;
-        resp.verb = request->verb;
-        resp.status = "ok";
-        resp.payload = BuildMetricsText();
-        metrics_.GetCounter("serve.requests.metrics").Add(1);
-      } else if (request->verb == "slow") {
-        resp.id = request->id;
-        resp.verb = request->verb;
-        resp.status = "ok";
-        resp.payload = BuildSlowPayload();
-        metrics_.GetCounter("serve.requests.slow").Add(1);
-      } else if (request->verb == "reload") {
-        resp = HandleReloadVerb(*request);
-        metrics_.GetCounter("serve.requests.reload").Add(1);
-      } else if (request->verb == "healthz") {
-        resp = HandleHealthzVerb(*request);
-        metrics_.GetCounter("serve.requests.healthz").Add(1);
       } else {
-        // Pin this request's generation: it holds the shared_ptr for
-        // the whole evaluation, so a hot-reload mid-request swaps the
-        // registry but cannot unmap the snapshot being read here. The
-        // next request on this connection picks up the new generation.
-        const std::shared_ptr<const SnapshotGeneration> generation =
-            registry_->Current();
-        resp = generation->service->Handle(*request, &telemetry);
-        metrics_.GetCounter("serve.requests." + request->verb).Add(1);
+        resp = (this->*row.handle)(*request, &telemetry);
       }
     }
     resp.request_id = request_id;
 
+    row.requests->Add(1);
     if (resp.status == "ok") {
-      ok_.fetch_add(1, std::memory_order_relaxed);
+      ok_.Add(1);
     } else if (resp.status == "degraded") {
-      degraded_.fetch_add(1, std::memory_order_relaxed);
+      degraded_.Add(1);
     } else if (resp.status == "busy") {
-      busy_.fetch_add(1, std::memory_order_relaxed);
+      busy_.Add(1);
     } else {
-      errors_.fetch_add(1, std::memory_order_relaxed);
+      errors_.Add(1);
     }
     const uint64_t handle_us =
         static_cast<uint64_t>(timer.ElapsedMicros());
-    metrics_.GetHistogram("serve.latency_us." + verb).Record(handle_us);
-    metrics_.GetHistogram("serve.queue_us").Record(queue_us);
+    row.latency->Record(handle_us);
+    queue_us_.Record(queue_us);
 
     const std::string wire = SerializeResponse(resp) + "\n";
 
@@ -591,7 +637,7 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     }
 
     const bool wrote = WriteWire(fd, wire);
-    if (!wrote) write_errors_.fetch_add(1, std::memory_order_relaxed);
+    if (!wrote) write_errors_.Add(1);
     if (slow_ring_.capacity() > 0) {
       SlowRequest slow;
       slow.request_id = request_id;
@@ -609,8 +655,6 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     }
 
     admission_.ReleaseRequestSlot();
-    metrics_.GetGauge("serve.inflight")
-        .Set(static_cast<int64_t>(admission_.inflight()));
     // A dead write half means the client is gone; further reads would
     // only evaluate requests whose answers cannot be delivered.
     if (!wrote) break;
@@ -625,6 +669,7 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
     std::lock_guard<std::mutex> lock(mu_);
     open_fds_.erase(fd);
     --active_connections_;
+    connections_active_.Set(static_cast<int64_t>(active_connections_));
     // Hand our own handle to the reaper; joining it merely waits out
     // the few instructions left below.
     finished_threads_.push_back(std::move(*self));
@@ -637,7 +682,31 @@ void Server::HandleConnection(int fd, uint64_t conn_id,
                    << request_seq << " request(s)";
 }
 
-Response Server::HandleReloadVerb(const Request& request) {
+Response Server::HandleQueryVerb(const Request& request,
+                                 RequestTelemetry* telemetry) {
+  // Pin this request's generation: it holds the shared_ptr for the
+  // whole evaluation, so a hot-reload mid-request swaps the registry
+  // but cannot unmap the snapshot being read here. The next request on
+  // this connection picks up the new generation.
+  const std::shared_ptr<const SnapshotGeneration> generation =
+      registry_->Current();
+  return generation->service->Handle(request, telemetry);
+}
+
+Response Server::HandleStatsVerb(const Request& request, RequestTelemetry*) {
+  return OkResponse(request, BuildStatsReport().ToJson());
+}
+
+Response Server::HandleMetricsVerb(const Request& request,
+                                   RequestTelemetry*) {
+  return OkResponse(request, BuildMetricsText());
+}
+
+Response Server::HandleSlowVerb(const Request& request, RequestTelemetry*) {
+  return OkResponse(request, BuildSlowPayload());
+}
+
+Response Server::HandleReloadVerb(const Request& request, RequestTelemetry*) {
   Response resp;
   resp.id = request.id;
   resp.verb = request.verb;
@@ -662,26 +731,24 @@ Response Server::HandleReloadVerb(const Request& request) {
   return resp;
 }
 
-Response Server::HandleHealthzVerb(const Request& request) {
-  Response resp;
-  resp.id = request.id;
-  resp.verb = request.verb;
-  resp.status = "ok";
+Response Server::HandleHealthzVerb(const Request& request,
+                                   RequestTelemetry*) {
   // First line stays the bare "ok" (a `head -1` liveness probe keeps
   // working); the rest is the reload metadata an operator polls to
   // confirm a swap landed.
   const std::shared_ptr<const SnapshotGeneration> generation =
       registry_->Current();
-  resp.payload = StringPrintf(
-      "ok\ngeneration: %llu\nsnapshot: %s\ncrc: %08x\nloaded: %s\n"
-      "reloads: ok=%llu failed=%llu unchanged=%llu\n",
-      static_cast<unsigned long long>(generation->id),
-      generation->path.c_str(), generation->crc(),
-      FormatLogTimestamp(generation->loaded_unix_micros).c_str(),
-      static_cast<unsigned long long>(registry_->reload_swaps()),
-      static_cast<unsigned long long>(registry_->reload_failures()),
-      static_cast<unsigned long long>(registry_->reload_noops()));
-  return resp;
+  return OkResponse(
+      request,
+      StringPrintf(
+          "ok\ngeneration: %llu\nsnapshot: %s\ncrc: %08x\nloaded: %s\n"
+          "reloads: ok=%llu failed=%llu unchanged=%llu\n",
+          static_cast<unsigned long long>(generation->id),
+          generation->path.c_str(), generation->crc(),
+          FormatLogTimestamp(generation->loaded_unix_micros).c_str(),
+          static_cast<unsigned long long>(registry_->reload_swaps()),
+          static_cast<unsigned long long>(registry_->reload_failures()),
+          static_cast<unsigned long long>(registry_->reload_noops())));
 }
 
 void Server::NotifyReloadWorker() {
@@ -830,21 +897,29 @@ ServeSummary Server::Wait() {
 
 ServeSummary Server::Summary() const {
   ServeSummary summary;
-  summary.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  summary.connections_refused =
-      connections_refused_.load(std::memory_order_relaxed);
-  summary.requests = requests_.load(std::memory_order_relaxed);
-  summary.ok = ok_.load(std::memory_order_relaxed);
-  summary.degraded = degraded_.load(std::memory_order_relaxed);
-  summary.busy = busy_.load(std::memory_order_relaxed);
-  summary.errors = errors_.load(std::memory_order_relaxed);
-  summary.read_errors = read_errors_.load(std::memory_order_relaxed);
-  summary.write_errors = write_errors_.load(std::memory_order_relaxed);
+  summary.connections_accepted = connections_accepted_.Value();
+  summary.connections_refused = connections_refused_.Value();
+  summary.requests = requests_.Value();
+  summary.ok = ok_.Value();
+  summary.degraded = degraded_.Value();
+  summary.busy = busy_.Value();
+  summary.errors = errors_.Value();
+  summary.read_errors = read_errors_.Value();
+  summary.write_errors = write_errors_.Value();
   return summary;
 }
 
+MetricsSnapshot Server::Snapshot() const {
+  uptime_ms_.Set(std::chrono::duration_cast<std::chrono::milliseconds>(
+                     std::chrono::steady_clock::now() - started_at_)
+                     .count());
+  current_rss_bytes_.Set(CurrentRssBytes());
+  peak_rss_bytes_.Set(PeakRssBytes());
+  return metrics_.Snapshot();
+}
+
 RunReport Server::BuildStatsReport() const {
+  MetricsSnapshot snapshot = Snapshot();
   RunReport report("tpiin serve");
   report.set_threads(ResolveThreadCount(options_.service.threads));
   report.set_total_seconds(std::chrono::duration<double>(
@@ -863,48 +938,24 @@ RunReport Server::BuildStatsReport() const {
   server.Set("max_inflight", options_.max_inflight);
   server.Set("max_queue", options_.max_queue);
 
-  ReportSection& reload = report.Section("reload");
-  reload.Set("attempts", registry_->reload_attempts());
-  reload.Set("swaps", registry_->reload_swaps());
-  reload.Set("noops", registry_->reload_noops());
-  reload.Set("failures", registry_->reload_failures());
+  for (const auto& [metric, section, key] : kStatsKeys) {
+    const MetricsSnapshot::Entry* entry = snapshot.Find(metric);
+    if (entry->kind == MetricsSnapshot::Kind::kGauge) {
+      report.Section(section).Set(key, entry->gauge);
+    } else {
+      report.Section(section).Set(key, entry->value);
+    }
+  }
 
-  const ServeSummary summary = Summary();
-  ReportSection& requests = report.Section("requests");
-  requests.Set("connections_accepted", summary.connections_accepted);
-  requests.Set("connections_refused", summary.connections_refused);
-  requests.Set("requests", summary.requests);
-  requests.Set("ok", summary.ok);
-  requests.Set("degraded", summary.degraded);
-  requests.Set("busy", summary.busy);
-  requests.Set("errors", summary.errors);
-  requests.Set("read_errors", summary.read_errors);
-  requests.Set("write_errors", summary.write_errors);
-  requests.Set("inflight", admission_.inflight());
-
-  // The caches are shared across generations (keys embed each
-  // generation's CRC), so these are daemon-lifetime totals.
-  const ServeSharedState& shared = registry_->shared_state();
-  ReportSection& cache = report.Section("cache");
-  cache.Set("bundle_entries", shared.bundle_cache.size());
-  cache.Set("bundle_capacity", shared.bundle_cache.capacity());
-  cache.Set("bundle_hits", shared.bundle_cache.hits());
-  cache.Set("bundle_misses", shared.bundle_cache.misses());
-  cache.Set("bundle_evictions", shared.bundle_cache.evictions());
-  cache.Set("sub_entries", shared.sub_cache.size());
-  cache.Set("sub_capacity", shared.sub_cache.capacity());
-  cache.Set("sub_hits", shared.sub_cache.hits());
-  cache.Set("sub_misses", shared.sub_cache.misses());
-  cache.Set("sub_evictions", shared.sub_cache.evictions());
-
-  // Per-verb latency percentiles: the operator's first read, derived
-  // from the same histograms attached raw below.
-  MetricsSnapshot snapshot = metrics_.Snapshot();
+  // Per-verb latency percentiles of the verbs requested so far: the
+  // operator's first read, derived from the same histograms attached
+  // raw below.
   constexpr std::string_view kLatencyPrefix = "serve.latency_us.";
   ReportTable& latency = report.AddTable(
       "latency_us", {"verb", "count", "p50", "p90", "p99", "max"});
   for (const MetricsSnapshot::Entry& entry : snapshot.entries) {
     if (entry.kind != MetricsSnapshot::Kind::kHistogram) continue;
+    if (entry.count == 0) continue;
     if (entry.name.compare(0, kLatencyPrefix.size(), kLatencyPrefix) != 0) {
       continue;
     }
@@ -941,55 +992,7 @@ void Server::MetricsWriterLoop() {
 }
 
 std::string Server::BuildMetricsText() const {
-  MetricsSnapshot snapshot = metrics_.Snapshot();
-  // Families the registry doesn't track, synthesized at render time.
-  auto add_gauge = [&snapshot](std::string name, int64_t value) {
-    MetricsSnapshot::Entry entry;
-    entry.name = std::move(name);
-    entry.kind = MetricsSnapshot::Kind::kGauge;
-    entry.gauge = value;
-    snapshot.entries.push_back(std::move(entry));
-  };
-  auto add_counter = [&snapshot](std::string name, uint64_t value) {
-    MetricsSnapshot::Entry entry;
-    entry.name = std::move(name);
-    entry.kind = MetricsSnapshot::Kind::kCounter;
-    entry.value = value;
-    snapshot.entries.push_back(std::move(entry));
-  };
-  add_gauge("serve.uptime_ms",
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - started_at_)
-                .count());
-  add_gauge("process.current_rss_bytes", CurrentRssBytes());
-  add_gauge("process.peak_rss_bytes", PeakRssBytes());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    add_gauge("serve.connections.active",
-              static_cast<int64_t>(active_connections_));
-  }
-  const ServeSummary summary = Summary();
-  add_counter("serve.connections.accepted", summary.connections_accepted);
-  add_counter("serve.connections.refused", summary.connections_refused);
-  add_counter("serve.requests", summary.requests);
-  add_counter("serve.requests.ok", summary.ok);
-  add_counter("serve.requests.degraded", summary.degraded);
-  add_counter("serve.requests.busy", summary.busy);
-  add_counter("serve.requests.errors", summary.errors);
-  add_counter("serve.requests.read_errors", summary.read_errors);
-  add_counter("serve.requests.write_errors", summary.write_errors);
-  // Reload families are synthesized from the registry's atomics so they
-  // exist — at zero — from the first scrape, not from the first reload.
-  add_gauge("serve.generation",
-            static_cast<int64_t>(registry_->Current()->id));
-  add_counter("serve.reload.attempts", registry_->reload_attempts());
-  add_counter("serve.reload.success", registry_->reload_swaps());
-  add_counter("serve.reload.unchanged", registry_->reload_noops());
-  add_counter("serve.reload.failures", registry_->reload_failures());
-  std::sort(snapshot.entries.begin(), snapshot.entries.end(),
-            [](const MetricsSnapshot::Entry& a,
-               const MetricsSnapshot::Entry& b) { return a.name < b.name; });
-  return RenderPrometheusText(snapshot);
+  return RenderPrometheusText(Snapshot());
 }
 
 std::string Server::BuildSlowPayload() const {

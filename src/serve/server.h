@@ -92,7 +92,8 @@ struct ServeOptions {
   ServiceOptions service;
 };
 
-/// Lifetime totals, returned by Wait() and rendered by the stats verb.
+/// Lifetime totals, returned by Wait() and Summary(): a read of the
+/// server's registry counters, for the CLI exit code and tests.
 struct ServeSummary {
   uint64_t connections_accepted = 0;
   uint64_t connections_refused = 0;  ///< Busy at accept.
@@ -175,17 +176,18 @@ class Server {
   /// lifetime summary. Call at most once.
   ServeSummary Wait();
 
-  /// Point-in-time summary (the stats verb; also readable after Wait).
+  /// Point-in-time summary (also readable after Wait).
   ServeSummary Summary() const;
 
   /// The stats verb's payload: a RunReport-style JSON document with
-  /// server/request/cache sections, a per-verb latency percentile table
-  /// and the raw metric histograms.
+  /// server/reload/requests/cache sections, a per-verb latency
+  /// percentile table and the raw metrics, all read from one snapshot
+  /// of the server's registry.
   RunReport BuildStatsReport() const;
 
   /// The metrics verb's payload and the --metrics-out snapshot body:
-  /// the per-server registry plus synthesized uptime / RSS / connection
-  /// families, rendered in the Prometheus text format.
+  /// one snapshot of the server's registry in the Prometheus text
+  /// format.
   std::string BuildMetricsText() const;
 
   /// The slow verb's payload: the slow-request ring as a JSON document,
@@ -229,10 +231,35 @@ class Server {
   /// False = the connection is dead (client hung up or stalled past the
   /// write deadline); the caller should wind the connection down.
   bool WriteWire(int fd, const std::string& line);
-  /// The `reload` and `healthz` verbs, answered by the server (not the
-  /// QueryService) because they speak about generations.
-  Response HandleReloadVerb(const Request& request);
-  Response HandleHealthzVerb(const Request& request);
+
+  /// A verb table row (server.cc), its serve.requests.<verb> counter
+  /// and serve.latency_us.<verb> histogram resolved at construction.
+  struct Verb {
+    const char* name;
+    const char* span;  ///< Static storage, as TraceSpan requires.
+    Response (Server::*handle)(const Request&, RequestTelemetry*);
+    Counter* requests = nullptr;
+    Histogram* latency = nullptr;
+  };
+  /// The table row serving `request`: its verb's row, the `other` row
+  /// for a verb the table does not list, the `malformed` row for a
+  /// line that did not parse.
+  const Verb& VerbFor(const Result<Request>& request) const;
+
+  /// Verb handlers: groups/explain/rescore (and unknown verbs) go to
+  /// the pinned generation's QueryService, the rest the server answers.
+  Response HandleQueryVerb(const Request& request,
+                           RequestTelemetry* telemetry);
+  Response HandleStatsVerb(const Request& request, RequestTelemetry*);
+  Response HandleMetricsVerb(const Request& request, RequestTelemetry*);
+  Response HandleSlowVerb(const Request& request, RequestTelemetry*);
+  Response HandleReloadVerb(const Request& request, RequestTelemetry*);
+  Response HandleHealthzVerb(const Request& request, RequestTelemetry*);
+
+  /// Samples uptime and RSS, then snapshots the registry: the one
+  /// source the stats and metrics renderers read.
+  MetricsSnapshot Snapshot() const;
+
   void DrainConnections();
   /// Runs SnapshotRegistry::Reload whenever the acceptor forwards a
   /// SIGHUP reload byte; a dedicated thread, so a multi-second snapshot
@@ -245,12 +272,30 @@ class Server {
   void MetricsWriterLoop();
 
   ServeOptions options_;
-  AdmissionController admission_;
-  /// Per-server registry: serve.* counters, gauges and latency
-  /// histograms, snapshotted into the stats verb. Kept separate from
-  /// MetricsRegistry::Global() so two servers in one process (tests)
-  /// don't blend.
+  /// Per-server registry: the one owner of every serve.* count, gauge
+  /// and histogram (the admission controller, SnapshotRegistry and
+  /// caches keep theirs here too). Kept separate from Global() so two
+  /// servers in one process (tests) don't blend.
   MetricsRegistry metrics_;
+  AdmissionController admission_;
+  /// Handles resolved at construction: the request path never looks a
+  /// name up.
+  Counter& connections_accepted_;
+  Counter& connections_refused_;
+  Counter& requests_;
+  Counter& ok_;
+  Counter& degraded_;
+  Counter& busy_;
+  Counter& errors_;
+  Counter& read_errors_;
+  Counter& write_errors_;
+  Gauge& connections_active_;
+  Histogram& queue_us_;
+  /// Sampled by Snapshot(), not on the request path.
+  Gauge& uptime_ms_;
+  Gauge& current_rss_bytes_;
+  Gauge& peak_rss_bytes_;
+  std::vector<Verb> verbs_;
   /// Access-log sink (--access-log); null when disabled. Request and
   /// reload events only — lifecycle messages go through TPIIN_LOG.
   std::unique_ptr<JsonLogSink> access_log_;
@@ -296,16 +341,6 @@ class Server {
   bool accept_done_ = false;
 
   std::chrono::steady_clock::time_point started_at_;
-
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_refused_{0};
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> ok_{0};
-  std::atomic<uint64_t> degraded_{0};
-  std::atomic<uint64_t> busy_{0};
-  std::atomic<uint64_t> errors_{0};
-  std::atomic<uint64_t> read_errors_{0};
-  std::atomic<uint64_t> write_errors_{0};
 };
 
 }  // namespace tpiin

@@ -57,31 +57,10 @@ bool TimeDegraded(const DetectionResult& detection) {
 }
 
 ServeSharedState::ServeSharedState(const ServiceOptions& options,
-                                   MetricsRegistry* metrics)
-    : bundle_cache(
-          options.bundle_cache_entries,
-          metrics ? &metrics->GetCounter("serve.cache.bundle_hit") : nullptr,
-          metrics ? &metrics->GetCounter("serve.cache.bundle_miss")
-                  : nullptr),
-      sub_cache(
-          options.cache_entries,
-          metrics ? &metrics->GetCounter("serve.cache.hit") : nullptr,
-          metrics ? &metrics->GetCounter("serve.cache.miss") : nullptr) {}
-
-QueryService::QueryService(const Tpiin& net, uint32_t snapshot_crc,
-                           const ServiceOptions& options,
-                           MetricsRegistry* metrics)
-    : net_(net),
-      snapshot_crc_(snapshot_crc),
-      options_(options),
-      owned_state_(std::make_unique<ServeSharedState>(options, metrics)),
-      shared_(owned_state_.get()) {
-  // First occurrence wins, mirroring the batch CLI's linear label scan.
-  node_by_label_.reserve(net.NumNodes());
-  for (NodeId v = 0; v < net.NumNodes(); ++v) {
-    node_by_label_.emplace(std::string(net.Label(v)), v);
-  }
-}
+                                   MetricsRegistry& metrics)
+    : bundle_cache(options.bundle_cache_entries, metrics,
+                   "serve.cache.bundle_"),
+      sub_cache(options.cache_entries, metrics, "serve.cache.") {}
 
 QueryService::QueryService(const Tpiin& net, uint32_t snapshot_crc,
                            const ServiceOptions& options,
@@ -90,6 +69,7 @@ QueryService::QueryService(const Tpiin& net, uint32_t snapshot_crc,
       snapshot_crc_(snapshot_crc),
       options_(options),
       shared_(&shared) {
+  // First occurrence wins, mirroring the batch CLI's linear label scan.
   node_by_label_.reserve(net.NumNodes());
   for (NodeId v = 0; v < net.NumNodes(); ++v) {
     node_by_label_.emplace(std::string(net.Label(v)), v);
@@ -218,7 +198,6 @@ Response QueryService::Handle(const Request& request,
   if (request.verb == "groups") return HandleGroups(request, telemetry);
   if (request.verb == "explain") return HandleExplain(request, telemetry);
   if (request.verb == "rescore") return HandleRescore(request, telemetry);
-  if (request.verb == "healthz") return HandleHealthz(request);
   return ErrorResponse(
       request,
       Status::InvalidArgument(
@@ -363,10 +342,6 @@ Response QueryService::HandleRescore(const Request& request,
     shared_->sub_cache.Put(key, std::make_shared<const std::string>(payload));
   }
   return PayloadResponse(request, std::move(payload), degraded);
-}
-
-Response QueryService::HandleHealthz(const Request& request) {
-  return PayloadResponse(request, "ok\n", /*degraded=*/false);
 }
 
 }  // namespace tpiin

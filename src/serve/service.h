@@ -52,7 +52,8 @@ struct ServiceOptions {
 
 /// What evaluating one request cost, for the access log and the slow
 /// ring. Filled (when the caller passes one) by QueryService::Handle;
-/// all zeros/kNone for verbs that touch no cache (healthz, errors).
+/// all zeros/kNone for verbs that touch no cache (the server's own
+/// verbs, errors).
 struct RequestTelemetry {
   enum class Cache { kNone, kHit, kMiss };
 
@@ -87,11 +88,11 @@ struct DetectionBundle {
 /// than one cache per generation) means a same-CRC no-op reload keeps
 /// every warm entry, and capacity bounds total memory across
 /// generations instead of per generation. The SnapshotRegistry owns
-/// one and wires it into each generation's QueryService; standalone
-/// services (tests, single-shot tools) let QueryService create a
-/// private one.
+/// one and wires it into each generation's QueryService. The caches
+/// count their hits, misses, evictions and sizes in `metrics`
+/// (serve.cache.bundle_* and serve.cache.*), which must outlive them.
 struct ServeSharedState {
-  ServeSharedState(const ServiceOptions& options, MetricsRegistry* metrics);
+  ServeSharedState(const ServiceOptions& options, MetricsRegistry& metrics);
 
   ArenaPool arena_pool;
   LruCache<DetectionBundle> bundle_cache;
@@ -111,24 +112,19 @@ class QueryService {
  public:
   /// `net` must outlive the service. `snapshot_crc` keys the caches
   /// (SnapshotView::header_crc(); any stable content fingerprint works
-  /// for tests). `metrics` (nullable) receives serve.cache.* counters.
-  /// This form creates a private ServeSharedState — the standalone
-  /// (non-hot-reloading) configuration.
-  QueryService(const Tpiin& net, uint32_t snapshot_crc,
-               const ServiceOptions& options, MetricsRegistry* metrics);
-
-  /// The hot-reload form: caches and the arena pool live in `shared`,
-  /// owned by the SnapshotRegistry and outliving any one generation's
-  /// service. Entries this service writes are keyed by its CRC, so
-  /// distinct generations never collide inside the shared caches.
+  /// for tests). Caches and the arena pool live in `shared`, owned by
+  /// the SnapshotRegistry and outliving any one generation's service.
+  /// Entries this service writes are keyed by its CRC, so distinct
+  /// generations never collide inside the shared caches.
   QueryService(const Tpiin& net, uint32_t snapshot_crc,
                const ServiceOptions& options, ServeSharedState& shared);
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Evaluates one request. Never throws; failures become
-  /// `status: error` responses. `status: degraded` marks sound-but-
+  /// Evaluates one `groups`, `explain` or `rescore` request; any other
+  /// verb is answered `error` ("unknown verb"). Never throws; failures
+  /// become `status: error` responses. `status: degraded` marks sound-but-
   /// partial payloads (a binding budget). `telemetry` (nullable)
   /// receives what the evaluation cost (cache outcome, stage timings).
   Response Handle(const Request& request,
@@ -175,14 +171,10 @@ class QueryService {
   Response HandleGroups(const Request& request, RequestTelemetry* telemetry);
   Response HandleExplain(const Request& request, RequestTelemetry* telemetry);
   Response HandleRescore(const Request& request, RequestTelemetry* telemetry);
-  Response HandleHealthz(const Request& request);
 
   const Tpiin& net_;
   const uint32_t snapshot_crc_;
   const ServiceOptions options_;
-  /// Private substrate of the standalone constructor; null when the
-  /// caller supplied a registry-owned ServeSharedState.
-  std::unique_ptr<ServeSharedState> owned_state_;
   ServeSharedState* shared_;
   std::atomic<bool> retired_{false};
   /// In-progress bundle computations, keyed like the bundle cache. Guarded

@@ -10,6 +10,7 @@
 #include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "fusion/pipeline.h"
 #include "io/dataset_csv.h"
@@ -151,6 +152,8 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
   if (options.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be positive");
   }
+  const uint32_t threads = ResolveThreadCount(options.num_threads);
+  if (report != nullptr) report->set_threads(threads);
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
   if (ec) return Status::IOError(out_dir + ": cannot create directory");
@@ -305,7 +308,7 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
     TPIIN_ASSIGN_OR_RETURN(RawDataset dataset,
                            LoadDatasetCsv(SpillDirOf(out_dir, s)));
     FusionOptions fusion;
-    fusion.num_threads = options.num_threads;
+    fusion.num_threads = threads;
     TPIIN_ASSIGN_OR_RETURN(FusionOutput fused, BuildTpiin(dataset, fusion));
     const Tpiin& net = fused.tpiin;
 

@@ -14,7 +14,8 @@ class RunReport;
 struct ShardBuildOptions {
   uint32_t num_shards = 1;
   /// Worker threads for each per-shard fusion (shards themselves build
-  /// one at a time — that sequencing is the memory bound).
+  /// one at a time — that sequencing is the memory bound). 0
+  /// auto-detects (ResolveThreadCount).
   uint32_t num_threads = 1;
   /// Per-(shard, table) routing buffer before an append flush. Small
   /// values bound router memory at high shard counts; large values cut
@@ -41,8 +42,8 @@ struct ShardBuildOptions {
 ///                          the commit point (crash mid-build leaves
 ///                          finished shards valid and no manifest).
 ///
-/// `report`, when non-null, receives plan/route/fuse stages and a
-/// "shard" section.
+/// `report`, when non-null, receives the resolved thread count,
+/// plan/route/fuse stages and a "shard" section.
 Result<ShardManifest> BuildShards(const std::string& data_dir,
                                   const std::string& out_dir,
                                   const ShardBuildOptions& options,

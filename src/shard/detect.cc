@@ -268,8 +268,9 @@ Result<ShardDetectStats> DetectShards(const std::string& dir,
                             static_cast<uint32_t>(live.size())));
   // One level of parallelism at a time: either across shards or inside
   // one shard's detection, never both.
-  const uint32_t inner_threads =
-      shard_parallel > 1 ? 1 : std::max<uint32_t>(1, options.num_threads);
+  const uint32_t threads = ResolveThreadCount(options.num_threads);
+  if (report != nullptr) report->set_threads(threads);
+  const uint32_t inner_threads = shard_parallel > 1 ? 1 : threads;
 
   struct Outcome {
     uint64_t groups = 0;

@@ -14,9 +14,9 @@ namespace tpiin {
 class RunReport;
 
 struct ShardDetectOptions {
-  /// Threads inside one shard's detection. Forced to 1 when
-  /// shard_parallel > 1 (one level of parallelism at a time; results are
-  /// identical either way).
+  /// Threads inside one shard's detection; 0 auto-detects
+  /// (ResolveThreadCount). Forced to 1 when shard_parallel > 1 (one
+  /// level of parallelism at a time; results are identical either way).
   uint32_t num_threads = 1;
   /// Shards detected concurrently. 1 = sequential, the minimal-memory
   /// operating point.
@@ -39,6 +39,8 @@ struct ShardDetectStats {
 /// canonical-report serialization in global ids/labels. Shards are
 /// mined sequentially (or `shard_parallel` at a time); each result file
 /// is written atomically, so a crash leaves finished shards reusable.
+/// `report`, when non-null, receives the resolved thread count, the
+/// shard_detect stage and a "shard_detect" section.
 Result<ShardDetectStats> DetectShards(const std::string& dir,
                                       const ShardDetectOptions& options,
                                       RunReport* report = nullptr);

@@ -1,7 +1,8 @@
-// LruCache unit tests: recency order under a tiny capacity, counter
-// wiring, the capacity-0 "always cold" mode, and key isolation (the
-// property the serve layer's snapshot-CRC + option-fingerprint keys
-// rely on: distinct keys can never bleed into each other).
+// LruCache unit tests: recency order under a tiny capacity, the
+// registry entries it counts in, the capacity-0 "always cold" mode, and
+// key isolation (the property the serve layer's snapshot-CRC +
+// option-fingerprint keys rely on: distinct keys can never bleed into
+// each other).
 
 #include "serve/cache.h"
 
@@ -21,9 +22,7 @@ std::shared_ptr<const std::string> Val(const std::string& s) {
 
 TEST(LruCacheTest, HitAndMissCounters) {
   MetricsRegistry metrics;
-  Counter& hit = metrics.GetCounter("hit");
-  Counter& miss = metrics.GetCounter("miss");
-  LruCache<std::string> cache(4, &hit, &miss);
+  LruCache<std::string> cache(4, metrics, "test.");
 
   EXPECT_EQ(cache.Get("a"), nullptr);
   cache.Put("a", Val("A"));
@@ -33,12 +32,15 @@ TEST(LruCacheTest, HitAndMissCounters) {
 
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(hit.Value(), 1u);
-  EXPECT_EQ(miss.Value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("test.hit").Value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("test.miss").Value(), 1u);
+  EXPECT_EQ(metrics.GetGauge("test.entries").Value(), 1);
+  EXPECT_EQ(metrics.GetGauge("test.capacity").Value(), 4);
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsedUnderTinyCapacity) {
-  LruCache<std::string> cache(2);
+  MetricsRegistry metrics;
+  LruCache<std::string> cache(2, metrics, "test.");
   cache.Put("a", Val("A"));
   cache.Put("b", Val("B"));
   ASSERT_NE(cache.Get("a"), nullptr);  // "b" is now the LRU entry.
@@ -49,10 +51,18 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsedUnderTinyCapacity) {
   EXPECT_TRUE(cache.Contains("c"));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(metrics.GetCounter("test.eviction").Value(), 1u);
+  EXPECT_EQ(metrics.GetGauge("test.entries").Value(), 2);
+
+  // A prefix eviction counts each dropped entry and shrinks the size.
+  EXPECT_EQ(cache.EvictKeysWithPrefix("a"), 1u);
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(metrics.GetGauge("test.entries").Value(), 1);
 }
 
 TEST(LruCacheTest, PutRefreshesRecency) {
-  LruCache<std::string> cache(2);
+  MetricsRegistry metrics;
+  LruCache<std::string> cache(2, metrics, "test.");
   cache.Put("a", Val("A"));
   cache.Put("b", Val("B"));
   cache.Put("a", Val("A2"));  // Replace refreshes: "b" becomes LRU.
@@ -66,7 +76,8 @@ TEST(LruCacheTest, PutRefreshesRecency) {
 }
 
 TEST(LruCacheTest, CapacityZeroDisablesCaching) {
-  LruCache<std::string> cache(0);
+  MetricsRegistry metrics;
+  LruCache<std::string> cache(0, metrics, "test.");
   cache.Put("a", Val("A"));
   EXPECT_EQ(cache.Get("a"), nullptr);
   EXPECT_EQ(cache.size(), 0u);
@@ -77,7 +88,8 @@ TEST(LruCacheTest, EvictedValueSurvivesWhileHeld) {
   // A request holding a result must keep it alive even if the entry is
   // evicted mid-request — the serve layer hands out shared_ptr and
   // never copies payloads defensively.
-  LruCache<std::string> cache(1);
+  MetricsRegistry metrics;
+  LruCache<std::string> cache(1, metrics, "test.");
   cache.Put("a", Val("A"));
   std::shared_ptr<const std::string> held = cache.Get("a");
   cache.Put("b", Val("B"));  // Evicts "a".
@@ -89,7 +101,8 @@ TEST(LruCacheTest, EvictedValueSurvivesWhileHeld) {
 TEST(LruCacheTest, DistinctKeysNeverBleed) {
   // Two snapshots (different CRC prefix) and two option sets (different
   // budget suffix) — the four keys are four independent entries.
-  LruCache<std::string> cache(8);
+  MetricsRegistry metrics;
+  LruCache<std::string> cache(8, metrics, "test.");
   cache.Put("crc=aaaa|max_nodes=0|max_arcs=0", Val("snapA-default"));
   cache.Put("crc=bbbb|max_nodes=0|max_arcs=0", Val("snapB-default"));
   cache.Put("crc=aaaa|max_nodes=50|max_arcs=0", Val("snapA-capped"));

@@ -1,12 +1,15 @@
 // Serve observability end to end: request IDs echoed on the wire and
 // monotonic per connection, exactly one NDJSON access-log record per
 // answered request (malformed and degraded included) plus one per busy
-// refusal, the metrics/slow verbs, --metrics-out and --trace-out
-// artifacts, and SIGHUP-driven access-log rotation through the CLI.
+// refusal, the metrics/slow verbs and their agreement with `stats`,
+// --metrics-out and --trace-out artifacts, and SIGHUP-driven
+// access-log rotation through the CLI.
 
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -54,6 +57,43 @@ std::string JsonStringField(const std::string& line, const std::string& key) {
   const size_t end = line.find('"', begin);
   if (end == std::string::npos) return "";
   return line.substr(begin, end - begin);
+}
+
+/// The integer fields of one `"section": {...}` object of a stats
+/// payload (RunReport renders each section as one flat object).
+std::map<std::string, std::string> StatsSection(const std::string& json,
+                                                const std::string& name) {
+  std::map<std::string, std::string> out;
+  const std::string needle = "\"" + name + "\": {";
+  const size_t start = json.find(needle);
+  if (start == std::string::npos) return out;
+  const size_t end = json.find('}', start);
+  std::istringstream fields(
+      json.substr(start + needle.size(), end - start - needle.size()));
+  std::string field;
+  while (std::getline(fields, field, ',')) {
+    const size_t open = field.find('"');
+    const size_t close = field.find('"', open + 1);
+    const size_t colon = field.find(':', close);
+    out[field.substr(open + 1, close - open - 1)] =
+        std::to_string(std::strtoll(field.c_str() + colon + 1, nullptr, 10));
+  }
+  return out;
+}
+
+/// Unlabeled samples ("name value") of a Prometheus payload.
+std::map<std::string, std::string> PrometheusSamples(
+    const std::string& text) {
+  std::map<std::string, std::string> out;
+  for (const std::string& line : Lines(text)) {
+    if (line.empty() || line[0] == '#' ||
+        line.find('{') != std::string::npos) {
+      continue;
+    }
+    const size_t space = line.find(' ');
+    out[line.substr(0, space)] = line.substr(space + 1);
+  }
+  return out;
 }
 
 class ObservabilityTest : public ::testing::Test {
@@ -246,6 +286,99 @@ TEST_F(ObservabilityTest, MetricsVerbRendersPrometheusFamilies) {
   EXPECT_NE(text.find("tpiin_serve_queue_us"), std::string::npos) << text;
 }
 
+TEST_F(ObservabilityTest, StatsAndPrometheusAgree) {
+  // stats and the Prometheus text render one registry: every key of the
+  // reload, requests and cache sections names one family, and the two
+  // read the same value after a mixed workload.
+  std::unique_ptr<Server> server = StartServer();
+  ASSERT_NE(server, nullptr);
+  {
+    TestClient client = Connect(*server);
+    const std::pair<std::string, std::string> requests[] = {
+        {"groups", "ok"},           // Bundle miss.
+        {"groups", "ok"},           // Bundle hit.
+        {"rescore?sub=0", "ok"},    // Sub-cache miss.
+        {"reload", "ok"},           // Same bytes: a no-op.
+        {"reload?path=" + dir_ + "/missing.snap", "error"},  // Rejected.
+        {"frobnicate", "error"},    // Unknown verb.
+        {"{not json", "error"},     // Malformed.
+    };
+    for (const auto& [line, status] : requests) {
+      Result<Response> resp = client.RoundTrip(line);
+      ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+      EXPECT_EQ(resp->status, status) << line << ": " << resp->error;
+    }
+  }
+  server->Shutdown();
+  server->Wait();
+
+  const std::string stats = server->BuildStatsReport().ToJson();
+  const std::map<std::string, std::string> prometheus =
+      PrometheusSamples(server->BuildMetricsText());
+  const std::map<std::string, std::map<std::string, std::string>> families =
+      {{"reload",
+        {{"attempts", "tpiin_serve_reload_attempts_total"},
+         {"swaps", "tpiin_serve_reload_success_total"},
+         {"noops", "tpiin_serve_reload_unchanged_total"},
+         {"failures", "tpiin_serve_reload_failures_total"}}},
+       {"requests",
+        {{"connections_accepted", "tpiin_serve_connections_accepted_total"},
+         {"connections_refused", "tpiin_serve_connections_refused_total"},
+         {"requests", "tpiin_serve_requests_total"},
+         {"ok", "tpiin_serve_requests_ok_total"},
+         {"degraded", "tpiin_serve_requests_degraded_total"},
+         {"busy", "tpiin_serve_requests_busy_total"},
+         {"errors", "tpiin_serve_requests_errors_total"},
+         {"read_errors", "tpiin_serve_requests_read_errors_total"},
+         {"write_errors", "tpiin_serve_requests_write_errors_total"},
+         {"inflight", "tpiin_serve_inflight"}}},
+       {"cache",
+        {{"bundle_entries", "tpiin_serve_cache_bundle_entries"},
+         {"bundle_capacity", "tpiin_serve_cache_bundle_capacity"},
+         {"bundle_hits", "tpiin_serve_cache_bundle_hit_total"},
+         {"bundle_misses", "tpiin_serve_cache_bundle_miss_total"},
+         {"bundle_evictions", "tpiin_serve_cache_bundle_eviction_total"},
+         {"sub_entries", "tpiin_serve_cache_entries"},
+         {"sub_capacity", "tpiin_serve_cache_capacity"},
+         {"sub_hits", "tpiin_serve_cache_hit_total"},
+         {"sub_misses", "tpiin_serve_cache_miss_total"},
+         {"sub_evictions", "tpiin_serve_cache_eviction_total"}}}};
+  for (const auto& [section, keys] : families) {
+    const std::map<std::string, std::string> values =
+        StatsSection(stats, section);
+    EXPECT_EQ(values.size(), keys.size()) << section << " in " << stats;
+    for (const auto& [key, value] : values) {
+      auto family = keys.find(key);
+      ASSERT_NE(family, keys.end()) << section << "." << key;
+      auto sample = prometheus.find(family->second);
+      ASSERT_NE(sample, prometheus.end()) << family->second;
+      EXPECT_EQ(value, sample->second) << section << "." << key;
+    }
+  }
+
+  // ... and the shared values are the ones the workload produced.
+  const std::map<std::string, std::string> requests =
+      StatsSection(stats, "requests");
+  EXPECT_EQ(requests.at("requests"), "7");
+  EXPECT_EQ(requests.at("ok"), "4");
+  EXPECT_EQ(requests.at("errors"), "3");
+  EXPECT_EQ(requests.at("read_errors"), "1");
+  EXPECT_EQ(requests.at("inflight"), "0");
+  const std::map<std::string, std::string> reload =
+      StatsSection(stats, "reload");
+  EXPECT_EQ(reload.at("attempts"), "2");
+  EXPECT_EQ(reload.at("noops"), "1");
+  EXPECT_EQ(reload.at("failures"), "1");
+  const std::map<std::string, std::string> cache =
+      StatsSection(stats, "cache");
+  EXPECT_EQ(cache.at("bundle_hits"), "1");
+  EXPECT_EQ(cache.at("bundle_misses"), "1");
+  EXPECT_EQ(cache.at("sub_misses"), "1");
+  EXPECT_EQ(cache.at("bundle_entries"), "1");
+  EXPECT_EQ(prometheus.at("tpiin_serve_requests_other_total"), "1");
+  EXPECT_EQ(prometheus.at("tpiin_serve_requests_malformed_total"), "1");
+}
+
 TEST_F(ObservabilityTest, StatsVerbReportsPercentileTable) {
   std::unique_ptr<Server> server = StartServer();
   ASSERT_NE(server, nullptr);
@@ -261,6 +394,12 @@ TEST_F(ObservabilityTest, StatsVerbReportsPercentileTable) {
   EXPECT_NE(stats->payload.find("\"p50\""), std::string::npos)
       << stats->payload;
   EXPECT_NE(stats->payload.find("\"p99\""), std::string::npos)
+      << stats->payload;
+  // Every verb's histogram exists from startup; the table lists only
+  // the verbs requested so far.
+  EXPECT_NE(stats->payload.find("[\"groups\", 1, "), std::string::npos)
+      << stats->payload;
+  EXPECT_EQ(stats->payload.find("[\"explain\", "), std::string::npos)
       << stats->payload;
 }
 

@@ -55,7 +55,7 @@ class RegistryTest : public ::testing::Test {
     options.cache_entries = 64;
     options.bundle_cache_entries = 4;
     return std::make_unique<SnapshotRegistry>(options, SnapshotOpenOptions{},
-                                              /*metrics=*/nullptr,
+                                              metrics_,
                                               /*event_sink=*/nullptr);
   }
 
@@ -70,6 +70,8 @@ class RegistryTest : public ::testing::Test {
 
   std::string dir_;
   std::string path_a_;
+  /// Where MakeRegistry's registry counts; outlives the test body.
+  MetricsRegistry metrics_;
 };
 
 TEST_F(RegistryTest, LoadInitialPublishesGenerationOne) {

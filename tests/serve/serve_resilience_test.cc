@@ -7,14 +7,17 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cli/cli.h"
 #include "common/failpoint.h"
+#include "common/string_util.h"
 #include "datagen/worked_example.h"
 #include "serve/server.h"
 #include "snapshot/snapshot.h"
@@ -22,6 +25,18 @@
 
 namespace tpiin {
 namespace {
+
+/// The `# TYPE` lines of a Prometheus payload: one per metric family,
+/// so one per registry entry (plus a histogram's derived quantiles).
+std::vector<std::string> TypeLines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) out.push_back(line);
+  }
+  return out;
+}
 
 class ServeResilienceTest : public ::testing::Test {
  protected:
@@ -296,6 +311,45 @@ TEST_F(ServeResilienceTest, ReloadFaultKeepsOldGenerationServing) {
   Result<Response> groups = client.RoundTrip("groups");
   ASSERT_TRUE(groups.ok());
   EXPECT_EQ(groups->status, "ok") << groups->error;
+}
+
+TEST_F(ServeResilienceTest, HostileVerbsNeverNameMetrics) {
+  // Verbs are untrusted bytes. A quote, two verbs that mangle to one
+  // Prometheus name, and 100 distinct 4 KiB verbs must all land in the
+  // verb table's `other` row: no registry entry is minted from the
+  // wire, so the metrics stay well formed and the daemon stays bounded.
+  std::unique_ptr<Server> server = StartServer();
+  ASSERT_NE(server, nullptr);
+  const std::vector<std::string> before =
+      TypeLines(server->BuildMetricsText());
+
+  std::vector<std::string> hostile = {R"({"verb":"x\"y"})", "a.b", "a_b"};
+  for (int i = 0; i < 100; ++i) {
+    std::string verb = StringPrintf("v%03d", i);
+    verb.resize(4096, 'z');
+    hostile.push_back(verb);
+  }
+  TestClient client = Connect(*server);
+  for (const std::string& line : hostile) {
+    Result<Response> resp = client.RoundTrip(line);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->status, "error");
+    EXPECT_NE(resp->error.find("unknown verb"), std::string::npos)
+        << resp->error;
+    if (line == hostile[0]) {
+      EXPECT_EQ(resp->verb, "x\"y");  // The raw verb is echoed.
+    }
+  }
+
+  const std::string text = server->BuildMetricsText();
+  const std::vector<std::string> after = TypeLines(text);
+  EXPECT_EQ(after, before);
+  EXPECT_NE(text.find("\ntpiin_serve_requests_other_total 103\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(std::set<std::string>(after.begin(), after.end()).size(),
+            after.size())
+      << "duplicate # TYPE lines";
 }
 
 TEST_F(ServeResilienceTest, ServeFailpointSitesAreRegistered) {

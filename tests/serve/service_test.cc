@@ -121,19 +121,32 @@ class ServiceTest : public ::testing::Test {
     return "";
   }
 
+  /// A service over its own cache substrate and registry, as each
+  /// daemon wires one, so cache counts never blend across services.
   std::unique_ptr<QueryService> MakeService(uint32_t threads,
                                             bool cached) {
     ServiceOptions options;
     options.threads = threads;
     options.cache_entries = cached ? 256 : 0;
     options.bundle_cache_entries = cached ? 4 : 0;
-    return std::make_unique<QueryService>(
-        view_->net(), view_->header_crc(), options, nullptr);
+    substrates_.push_back(std::make_unique<Substrate>(options));
+    return std::make_unique<QueryService>(view_->net(), view_->header_crc(),
+                                          options,
+                                          substrates_.back()->shared);
   }
+
+  struct Substrate {
+    explicit Substrate(const ServiceOptions& options)
+        : shared(options, metrics) {}
+    MetricsRegistry metrics;
+    ServeSharedState shared;
+  };
 
   std::string dir_;
   std::string snapshot_path_;
   std::unique_ptr<SnapshotView> view_;
+  /// Outlive the services the test body holds.
+  std::vector<std::unique_ptr<Substrate>> substrates_;
 };
 
 TEST_F(ServiceTest, GroupsByteIdenticalToBatchAtAnyThreadsCacheHotOrCold) {
@@ -369,14 +382,6 @@ TEST_F(ServiceTest, DistinctBudgetsAreDistinctBundleCacheEntries) {
   EXPECT_EQ(service->bundle_cache().misses(), 2u);
   // Same answer either way — the cap did not bind.
   EXPECT_EQ(plain.payload, roomy_resp.payload);
-}
-
-TEST_F(ServiceTest, HealthzAlwaysOk) {
-  OpenSnapshotOf(BuildWorkedExampleTpiin());
-  std::unique_ptr<QueryService> service = MakeService(1, true);
-  Response resp = service->Handle(MakeRequest("healthz"));
-  EXPECT_EQ(resp.status, "ok");
-  EXPECT_EQ(resp.payload, "ok\n");
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/cli.h"
+#include "common/thread_pool.h"
 
 namespace tpiin {
 namespace {
@@ -72,6 +73,38 @@ TEST_F(ShardCliTest, BuildDetectMergeMatchesUnshardedDetect) {
   const std::string unsharded = Slurp(out_dir + "/ranked.txt");
   ASSERT_FALSE(unsharded.empty());
   EXPECT_EQ(Slurp(merged), unsharded);
+}
+
+TEST_F(ShardCliTest, ThreadsZeroAutoDetectsInBuildAndDetect) {
+  // --threads=0 means auto-detect in the shard verbs as everywhere
+  // else: the merged bytes do not move, and each run report records
+  // the thread count the library resolved.
+  const std::string data = dir_ + "/data";
+  const std::string snap = dir_ + "/net.snap";
+  const std::string shards = dir_ + "/shards";
+  const std::string merged = dir_ + "/merged.txt";
+  const std::string out_dir = dir_ + "/detect_out";
+
+  Run({"gen", "--out=" + data, "--companies=200", "--p=0.03",
+       "--seed=13"});
+  Run({"build", "--data=" + data, "--out=" + snap});
+  Run({"detect", "--snapshot=" + snap, "--out=" + out_dir});
+  Run({"shard", "build", "--data=" + data, "--out=" + shards,
+       "--shards=4", "--threads=0", "--report=" + dir_ + "/build.json"});
+  Run({"shard", "detect", "--dir=" + shards, "--threads=0",
+       "--report=" + dir_ + "/detect.json"});
+  Run({"shard", "merge", "--dir=" + shards, "--out=" + merged});
+
+  const std::string unsharded = Slurp(out_dir + "/ranked.txt");
+  ASSERT_FALSE(unsharded.empty());
+  EXPECT_EQ(Slurp(merged), unsharded);
+  const std::string threads =
+      "\"threads\": " + std::to_string(ResolveThreadCount(0)) + ",";
+  for (const char* report : {"/build.json", "/detect.json"}) {
+    const std::string json = Slurp(dir_ + report);
+    EXPECT_NE(json.find(threads), std::string::npos) << report << ": "
+                                                     << json;
+  }
 }
 
 TEST_F(ShardCliTest, DegradedDetectExitsTwoAndMergePropagates) {
