@@ -149,8 +149,8 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
     }
     const SubTpiin& sub = subs[index];
     PatternGenOptions gen_options;
-    // Mining runs off the patterns tree; the flat trail bases (Fig. 10
-    // artifacts) come from GeneratePatternBase directly.
+    // Mining runs off the patterns tree alone; a caller that wants the
+    // flat trail base (the Fig. 10 artifact) calls GeneratePatternBase.
     gen_options.emit_trails = false;
     gen_options.max_trails = options.max_trails_per_subtpiin;
     gen_options.deadline = Deadline::Sooner(
