@@ -27,12 +27,12 @@ struct StreamStats {
 /// O(population) RSS just to produce the input.
 ///
 /// Output is byte-identical to SaveDatasetCsv(GenerateProvince(config))
-/// for every config (the generators share their RNG call sequence;
-/// tests/datagen/stream_test.cc gates this), so the sharded and
-/// in-memory pipelines consume literally the same bytes. Peak memory is
-/// O(persons + groups): one role byte per person and a few offsets per
-/// business group; companies, relation rows and the trading layer are
-/// emitted as they are drawn.
+/// for every config (one generator body emits into a RawDataset or a
+/// DatasetCsvWriter; tests/datagen/stream_test.cc gates this), so the
+/// sharded and in-memory pipelines consume literally the same bytes.
+/// Peak memory is O(persons + groups): one role byte per person and a
+/// few offsets per business group; companies, relation rows and the
+/// trading layer are emitted as they are drawn.
 Result<StreamStats> StreamProvinceCsv(const ProvinceConfig& config,
                                       const std::string& directory);
 

@@ -1,9 +1,5 @@
 #include "io/dataset_csv.h"
 
-#include <functional>
-#include <unordered_map>
-
-#include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
 #include "obs/trace.h"
@@ -12,170 +8,123 @@ namespace tpiin {
 
 namespace {
 
-const std::vector<std::string> kPersonsHeader = {"id", "name", "roles"};
-const std::vector<std::string> kCompaniesHeader = {"id", "name"};
-const std::vector<std::string> kInterdependenceHeader = {"person_a",
-                                                         "person_b", "kind"};
-const std::vector<std::string> kInfluenceHeader = {"person", "company",
-                                                   "kind", "legal_person"};
-const std::vector<std::string> kInvestmentHeader = {"investor", "investee",
-                                                    "share"};
-const std::vector<std::string> kTradesHeader = {"seller", "buyer"};
+struct TableSchema {
+  const char* file;
+  std::vector<std::string> header;
+};
 
-std::string PathOf(const std::string& directory, const char* file) {
-  return directory + "/" + file;
+const TableSchema kSchema[kNumDatasetTables] = {
+    {"persons.csv", {"id", "name", "roles"}},
+    {"companies.csv", {"id", "name"}},
+    {"interdependence.csv", {"person_a", "person_b", "kind"}},
+    {"influence.csv", {"person", "company", "kind", "legal_person"}},
+    {"investment.csv", {"investor", "investee", "share"}},
+    {"trades.csv", {"seller", "buyer"}},
+};
+
+const TableSchema& SchemaOf(DatasetTable table) {
+  return kSchema[static_cast<size_t>(table)];
 }
 
 }  // namespace
 
+const char* DatasetTableFile(DatasetTable table) {
+  return SchemaOf(table).file;
+}
+
+Status ScanDatasetTable(const std::string& directory, DatasetTable table,
+                        IngestSink& sink, const RowHandler& handler) {
+  const TableSchema& schema = SchemaOf(table);
+  return ScanCsvTable(directory + "/" + schema.file, schema.header, sink,
+                      handler);
+}
+
+DatasetCsvWriter::DatasetCsvWriter(const std::string& directory) {
+  for (size_t t = 0; t < kNumDatasetTables; ++t) {
+    tables_[t] =
+        std::make_unique<CsvWriter>(directory + "/" + kSchema[t].file);
+    tables_[t]->WriteRow(kSchema[t].header);
+  }
+}
+
+void DatasetCsvWriter::Write(DatasetTable table,
+                             const std::vector<std::string>& fields) {
+  const size_t t = static_cast<size_t>(table);
+  tables_[t]->WriteRow(fields);
+  ++rows_[t];
+}
+
+void DatasetCsvWriter::AddPerson(std::string_view name, PersonRoles roles) {
+  const auto id = static_cast<PersonId>(rows(DatasetTable::kPersons));
+  Write(DatasetTable::kPersons, {StringPrintf("%u", id), std::string(name),
+                                 StringPrintf("%u", roles)});
+}
+
+void DatasetCsvWriter::AddCompany(std::string_view name) {
+  const auto id = static_cast<CompanyId>(rows(DatasetTable::kCompanies));
+  Write(DatasetTable::kCompanies, {StringPrintf("%u", id), std::string(name)});
+}
+
+void DatasetCsvWriter::AddInterdependence(PersonId a, PersonId b,
+                                          InterdependenceKind kind) {
+  Write(DatasetTable::kInterdependence,
+        {StringPrintf("%u", a), StringPrintf("%u", b),
+         std::string(InterdependenceKindName(kind))});
+}
+
+void DatasetCsvWriter::AddInfluence(PersonId person, CompanyId company,
+                                    InfluenceKind kind,
+                                    bool is_legal_person) {
+  Write(DatasetTable::kInfluence,
+        {StringPrintf("%u", person), StringPrintf("%u", company),
+         StringPrintf("%u", static_cast<unsigned>(kind)),
+         is_legal_person ? "1" : "0"});
+}
+
+void DatasetCsvWriter::AddInvestment(CompanyId investor, CompanyId investee,
+                                     double share) {
+  Write(DatasetTable::kInvestment,
+        {StringPrintf("%u", investor), StringPrintf("%u", investee),
+         StringPrintf("%.6f", share)});
+}
+
+void DatasetCsvWriter::AddTrade(CompanyId seller, CompanyId buyer) {
+  Write(DatasetTable::kTrades,
+        {StringPrintf("%u", seller), StringPrintf("%u", buyer)});
+}
+
+Status DatasetCsvWriter::Close() {
+  Status first;
+  for (std::unique_ptr<CsvWriter>& table : tables_) {
+    Status closed = table->Close();
+    if (first.ok()) first = closed;
+  }
+  return first;
+}
+
 Status SaveDatasetCsv(const std::string& directory,
                       const RawDataset& dataset) {
-  {
-    CsvWriter w(PathOf(directory, "persons.csv"));
-    w.WriteRow(kPersonsHeader);
-    for (const Person& p : dataset.persons()) {
-      w.WriteRow({StringPrintf("%u", p.id), p.name,
-                  StringPrintf("%u", p.roles)});
-    }
-    TPIIN_RETURN_IF_ERROR(w.Close());
+  DatasetCsvWriter writer(directory);
+  for (const Person& p : dataset.persons()) writer.AddPerson(p.name, p.roles);
+  for (const Company& c : dataset.companies()) writer.AddCompany(c.name);
+  for (const InterdependenceRecord& r : dataset.interdependence()) {
+    writer.AddInterdependence(r.person_a, r.person_b, r.kind);
   }
-  {
-    CsvWriter w(PathOf(directory, "companies.csv"));
-    w.WriteRow(kCompaniesHeader);
-    for (const Company& c : dataset.companies()) {
-      w.WriteRow({StringPrintf("%u", c.id), c.name});
-    }
-    TPIIN_RETURN_IF_ERROR(w.Close());
+  for (const InfluenceRecord& r : dataset.influence()) {
+    writer.AddInfluence(r.person, r.company, r.kind, r.is_legal_person);
   }
-  {
-    CsvWriter w(PathOf(directory, "interdependence.csv"));
-    w.WriteRow(kInterdependenceHeader);
-    for (const InterdependenceRecord& r : dataset.interdependence()) {
-      w.WriteRow({StringPrintf("%u", r.person_a),
-                  StringPrintf("%u", r.person_b),
-                  std::string(InterdependenceKindName(r.kind))});
-    }
-    TPIIN_RETURN_IF_ERROR(w.Close());
+  for (const InvestmentRecord& r : dataset.investments()) {
+    writer.AddInvestment(r.investor, r.investee, r.share);
   }
-  {
-    CsvWriter w(PathOf(directory, "influence.csv"));
-    w.WriteRow(kInfluenceHeader);
-    for (const InfluenceRecord& r : dataset.influence()) {
-      w.WriteRow({StringPrintf("%u", r.person),
-                  StringPrintf("%u", r.company),
-                  StringPrintf("%u", static_cast<unsigned>(r.kind)),
-                  r.is_legal_person ? "1" : "0"});
-    }
-    TPIIN_RETURN_IF_ERROR(w.Close());
+  for (const TradeRecord& r : dataset.trades()) {
+    writer.AddTrade(r.seller, r.buyer);
   }
-  {
-    CsvWriter w(PathOf(directory, "investment.csv"));
-    w.WriteRow(kInvestmentHeader);
-    for (const InvestmentRecord& r : dataset.investments()) {
-      w.WriteRow({StringPrintf("%u", r.investor),
-                  StringPrintf("%u", r.investee),
-                  StringPrintf("%.6f", r.share)});
-    }
-    TPIIN_RETURN_IF_ERROR(w.Close());
-  }
-  {
-    CsvWriter w(PathOf(directory, "trades.csv"));
-    w.WriteRow(kTradesHeader);
-    for (const TradeRecord& r : dataset.trades()) {
-      w.WriteRow(
-          {StringPrintf("%u", r.seller), StringPrintf("%u", r.buyer)});
-    }
-    TPIIN_RETURN_IF_ERROR(w.Close());
-  }
-  return Status::OK();
+  return writer.Close();
 }
 
 Result<RawDataset> LoadDatasetCsv(const std::string& directory) {
   return LoadDatasetCsv(directory, IngestOptions{}, nullptr);
 }
-
-namespace {
-
-// Runs one CSV table through the hardened row loop: structural damage
-// (open failure, bad header) is fatal; per-row damage — parse errors,
-// wrong column counts, oversized fields, and whatever `handler` rejects
-// (it sets *error_class before returning non-OK) — goes through `sink`,
-// which applies the strict/skip/quarantine policy.
-Status LoadTable(
-    const std::string& path, const std::vector<std::string>& header,
-    size_t max_field_bytes, IngestSink& sink,
-    const std::function<Status(const std::vector<std::string>&,
-                               const char**)>& handler) {
-  CsvFileReader reader(path);
-  TPIIN_RETURN_IF_ERROR(reader.status());
-  TPIIN_RETURN_IF_ERROR(reader.ExpectHeader(header));
-  CsvRow row;
-  while (reader.Next(&row)) {
-    const char* error_class = ingest_error::kParse;
-    Status row_status = [&]() -> Status {
-      if (!row.parse.ok()) return row.parse;
-      if (row.fields.size() != header.size()) {
-        error_class = ingest_error::kColumns;
-        return Status::Corruption(
-            StringPrintf("expected %zu columns, found %zu", header.size(),
-                         row.fields.size()));
-      }
-      if (max_field_bytes != 0) {
-        for (const std::string& field : row.fields) {
-          if (field.size() > max_field_bytes) {
-            error_class = ingest_error::kOversizedField;
-            return Status::Corruption(
-                StringPrintf("field of %zu bytes exceeds limit %zu",
-                             field.size(), max_field_bytes));
-          }
-        }
-      }
-      return handler(row.fields, &error_class);
-    }();
-    if (!row_status.ok()) {
-      TPIIN_RETURN_IF_ERROR(sink.Reject(path, row.line_number, row.raw,
-                                        error_class, row_status));
-      continue;
-    }
-    sink.CountLoaded();
-  }
-  return Status::OK();
-}
-
-// File-id -> dense-id map for one entity table. Ids come from the id
-// column (not row order), so a skipped row leaves a hole instead of
-// silently shifting every later reference.
-using IdMap = std::unordered_map<int64_t, uint32_t>;
-
-Result<int64_t> ParseFileId(const std::string& field,
-                            const char** error_class) {
-  Result<int64_t> value = ParseInt64(field);
-  if (!value.ok() || *value < 0) {
-    *error_class = ingest_error::kBadNumber;
-    return Status::Corruption("bad id: " + field);
-  }
-  return value;
-}
-
-Result<uint32_t> ResolveRef(const IdMap& ids, const std::string& field,
-                            const char* what, const char** error_class) {
-  Result<int64_t> raw = ParseInt64(field);
-  if (!raw.ok()) {
-    *error_class = ingest_error::kBadNumber;
-    return Status::Corruption(StringPrintf("bad %s id: %s", what,
-                                           field.c_str()));
-  }
-  auto it = ids.find(*raw);
-  if (it == ids.end()) {
-    *error_class = ingest_error::kDanglingRef;
-    return Status::Corruption(
-        StringPrintf("%s id %s does not refer to a loaded row", what,
-                     field.c_str()));
-  }
-  return it->second;
-}
-
-}  // namespace
 
 Result<RawDataset> LoadDatasetCsv(const std::string& directory,
                                   const IngestOptions& options,
@@ -187,141 +136,122 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
   *report = LoadReport{};
   RawDataset dataset;
   IngestSink sink(options, report);
-  IdMap person_ids;
-  IdMap company_ids;
+  EntityIdIndex person_ids;
+  EntityIdIndex company_ids;
 
-  TPIIN_RETURN_IF_ERROR(LoadTable(
-      PathOf(directory, "persons.csv"), kPersonsHeader,
-      options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
-          const char** cls) -> Status {
-        TPIIN_ASSIGN_OR_RETURN(int64_t id, ParseFileId(row[0], cls));
-        if (person_ids.count(id) != 0) {
-          *cls = ingest_error::kDuplicateId;
-          return Status::Corruption("duplicate person id " + row[0]);
-        }
-        if (!IsValidUtf8(row[1])) {
+  // Entity rows check duplicates before their values and register the
+  // id only once the row is accepted, so a rejected row leaves a hole.
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      directory, DatasetTable::kPersons, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        const std::vector<std::string>& f = row.fields;
+        TPIIN_ASSIGN_OR_RETURN(int64_t id,
+                               person_ids.ParseNewId(f[0], "person", cls));
+        if (!IsValidUtf8(f[1])) {
           *cls = ingest_error::kBadUtf8;
           return Status::Corruption("person name is not valid UTF-8");
         }
-        Result<int64_t> roles = ParseInt64(row[2]);
+        Result<int64_t> roles = ParseInt64(f[2]);
         if (!roles.ok()) {
           *cls = ingest_error::kBadNumber;
-          return Status::Corruption("bad roles mask " + row[2]);
+          return Status::Corruption("bad roles mask " + f[2]);
         }
         if (*roles < 0 || *roles > kAllRoleBits) {
           *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad roles mask " + row[2]);
+          return Status::Corruption("bad roles mask " + f[2]);
         }
-        person_ids.emplace(
-            id, dataset.AddPerson(row[1],
-                                  static_cast<PersonRoles>(*roles)));
+        TPIIN_RETURN_IF_ERROR(person_ids.Add(id));
+        dataset.AddPerson(f[1], static_cast<PersonRoles>(*roles));
         return Status::OK();
       }));
 
-  TPIIN_RETURN_IF_ERROR(LoadTable(
-      PathOf(directory, "companies.csv"), kCompaniesHeader,
-      options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
-          const char** cls) -> Status {
-        TPIIN_ASSIGN_OR_RETURN(int64_t id, ParseFileId(row[0], cls));
-        if (company_ids.count(id) != 0) {
-          *cls = ingest_error::kDuplicateId;
-          return Status::Corruption("duplicate company id " + row[0]);
-        }
-        if (!IsValidUtf8(row[1])) {
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      directory, DatasetTable::kCompanies, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        const std::vector<std::string>& f = row.fields;
+        TPIIN_ASSIGN_OR_RETURN(int64_t id,
+                               company_ids.ParseNewId(f[0], "company", cls));
+        if (!IsValidUtf8(f[1])) {
           *cls = ingest_error::kBadUtf8;
           return Status::Corruption("company name is not valid UTF-8");
         }
-        company_ids.emplace(id, dataset.AddCompany(row[1]));
+        TPIIN_RETURN_IF_ERROR(company_ids.Add(id));
+        dataset.AddCompany(f[1]);
         return Status::OK();
       }));
 
-  TPIIN_RETURN_IF_ERROR(LoadTable(
-      PathOf(directory, "interdependence.csv"), kInterdependenceHeader,
-      options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
-          const char** cls) -> Status {
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      directory, DatasetTable::kInterdependence, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        const std::vector<std::string>& f = row.fields;
         TPIIN_ASSIGN_OR_RETURN(uint32_t a,
-                               ResolveRef(person_ids, row[0], "person",
-                                          cls));
+                               person_ids.Resolve(f[0], "person", cls));
         TPIIN_ASSIGN_OR_RETURN(uint32_t b,
-                               ResolveRef(person_ids, row[1], "person",
-                                          cls));
+                               person_ids.Resolve(f[1], "person", cls));
         InterdependenceKind kind;
-        if (row[2] == "kinship") {
+        if (f[2] == "kinship") {
           kind = InterdependenceKind::kKinship;
-        } else if (row[2] == "interlocking") {
+        } else if (f[2] == "interlocking") {
           kind = InterdependenceKind::kInterlocking;
         } else {
           *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad interdependence kind " + row[2]);
+          return Status::Corruption("bad interdependence kind " + f[2]);
         }
         dataset.AddInterdependence(a, b, kind);
         return Status::OK();
       }));
 
-  TPIIN_RETURN_IF_ERROR(LoadTable(
-      PathOf(directory, "influence.csv"), kInfluenceHeader,
-      options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
-          const char** cls) -> Status {
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      directory, DatasetTable::kInfluence, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        const std::vector<std::string>& f = row.fields;
         TPIIN_ASSIGN_OR_RETURN(uint32_t person,
-                               ResolveRef(person_ids, row[0], "person",
-                                          cls));
+                               person_ids.Resolve(f[0], "person", cls));
         TPIIN_ASSIGN_OR_RETURN(uint32_t company,
-                               ResolveRef(company_ids, row[1], "company",
-                                          cls));
-        Result<int64_t> kind = ParseInt64(row[2]);
+                               company_ids.Resolve(f[1], "company", cls));
+        Result<int64_t> kind = ParseInt64(f[2]);
         if (!kind.ok()) {
           *cls = ingest_error::kBadNumber;
-          return Status::Corruption("bad influence kind " + row[2]);
+          return Status::Corruption("bad influence kind " + f[2]);
         }
         if (*kind < 0 || *kind > 3) {
           *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad influence kind " + row[2]);
+          return Status::Corruption("bad influence kind " + f[2]);
         }
-        if (row[3] != "0" && row[3] != "1") {
+        if (f[3] != "0" && f[3] != "1") {
           *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad legal_person flag " + row[3]);
+          return Status::Corruption("bad legal_person flag " + f[3]);
         }
         dataset.AddInfluence(person, company,
-                             static_cast<InfluenceKind>(*kind),
-                             row[3] == "1");
+                             static_cast<InfluenceKind>(*kind), f[3] == "1");
         return Status::OK();
       }));
 
-  TPIIN_RETURN_IF_ERROR(LoadTable(
-      PathOf(directory, "investment.csv"), kInvestmentHeader,
-      options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
-          const char** cls) -> Status {
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      directory, DatasetTable::kInvestment, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        const std::vector<std::string>& f = row.fields;
         TPIIN_ASSIGN_OR_RETURN(uint32_t investor,
-                               ResolveRef(company_ids, row[0], "company",
-                                          cls));
+                               company_ids.Resolve(f[0], "company", cls));
         TPIIN_ASSIGN_OR_RETURN(uint32_t investee,
-                               ResolveRef(company_ids, row[1], "company",
-                                          cls));
-        Result<double> share = ParseDouble(row[2]);
+                               company_ids.Resolve(f[1], "company", cls));
+        Result<double> share = ParseDouble(f[2]);
         if (!share.ok()) {
           *cls = ingest_error::kBadNumber;
-          return Status::Corruption("bad share " + row[2]);
+          return Status::Corruption("bad share " + f[2]);
         }
         dataset.AddInvestment(investor, investee, *share);
         return Status::OK();
       }));
 
-  TPIIN_RETURN_IF_ERROR(LoadTable(
-      PathOf(directory, "trades.csv"), kTradesHeader,
-      options.max_field_bytes, sink,
-      [&](const std::vector<std::string>& row,
-          const char** cls) -> Status {
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      directory, DatasetTable::kTrades, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        const std::vector<std::string>& f = row.fields;
         TPIIN_ASSIGN_OR_RETURN(uint32_t seller,
-                               ResolveRef(company_ids, row[0], "company",
-                                          cls));
+                               company_ids.Resolve(f[0], "company", cls));
         TPIIN_ASSIGN_OR_RETURN(uint32_t buyer,
-                               ResolveRef(company_ids, row[1], "company",
-                                          cls));
+                               company_ids.Resolve(f[1], "company", cls));
         dataset.AddTrade(seller, buyer);
         return Status::OK();
       }));

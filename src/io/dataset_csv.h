@@ -1,18 +1,74 @@
 #ifndef TPIIN_IO_DATASET_CSV_H_
 #define TPIIN_IO_DATASET_CSV_H_
 
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 
+#include "common/csv.h"
 #include "common/result.h"
 #include "io/ingest.h"
 #include "model/dataset.h"
 
 namespace tpiin {
 
-/// Persists a RawDataset as six CSV tables inside `directory` (created
-/// by the caller): persons.csv, companies.csv, interdependence.csv,
-/// influence.csv, investment.csv, trades.csv. This mirrors how the real
-/// pipeline ingests per-source extracts (CSRC / HRDPSC / PTAO dumps).
+/// The six CSV tables of an on-disk dataset, in load order: persons.csv,
+/// companies.csv, interdependence.csv, influence.csv, investment.csv,
+/// trades.csv. This mirrors how the real pipeline ingests per-source
+/// extracts (CSRC / HRDPSC / PTAO dumps).
+enum class DatasetTable {
+  kPersons,
+  kCompanies,
+  kInterdependence,
+  kInfluence,
+  kInvestment,
+  kTrades,
+};
+inline constexpr size_t kNumDatasetTables = 6;
+
+/// File name of `table` inside a dataset directory, e.g. "trades.csv".
+const char* DatasetTableFile(DatasetTable table);
+
+/// Runs `table` of the dataset in `directory` through ScanCsvTable with
+/// the table's header.
+Status ScanDatasetTable(const std::string& directory, DatasetTable table,
+                        IngestSink& sink, const RowHandler& handler);
+
+/// Streams a dataset into the six tables under `directory` (created by
+/// the caller), one row per Add* call. The Add* methods are RawDataset's,
+/// so a generator can emit into either; persons and companies are written
+/// with ids in call order, as RawDataset assigns them. Each table starts
+/// with its header and is published atomically by Close().
+class DatasetCsvWriter {
+ public:
+  explicit DatasetCsvWriter(const std::string& directory);
+
+  void AddPerson(std::string_view name, PersonRoles roles);
+  void AddCompany(std::string_view name);
+  void AddInterdependence(PersonId a, PersonId b, InterdependenceKind kind);
+  void AddInfluence(PersonId person, CompanyId company, InfluenceKind kind,
+                    bool is_legal_person);
+  void AddInvestment(CompanyId investor, CompanyId investee, double share);
+  void AddTrade(CompanyId seller, CompanyId buyer);
+
+  /// Data rows written to `table` so far.
+  uint64_t rows(DatasetTable table) const {
+    return rows_[static_cast<size_t>(table)];
+  }
+
+  /// Publishes all six tables; returns the first write error.
+  Status Close();
+
+ private:
+  void Write(DatasetTable table, const std::vector<std::string>& fields);
+
+  std::unique_ptr<CsvWriter> tables_[kNumDatasetTables];
+  uint64_t rows_[kNumDatasetTables] = {};
+};
+
+/// Persists a RawDataset as the six tables inside `directory` (created
+/// by the caller).
 Status SaveDatasetCsv(const std::string& directory,
                       const RawDataset& dataset);
 

@@ -98,4 +98,102 @@ Status IngestSink::Finish() {
   return Status::OK();
 }
 
+Status ScanCsvTable(const std::string& path,
+                    const std::vector<std::string>& header, IngestSink& sink,
+                    const RowHandler& handler) {
+  CsvFileReader reader(path);
+  TPIIN_RETURN_IF_ERROR(reader.status());
+  TPIIN_RETURN_IF_ERROR(reader.ExpectHeader(header));
+  const size_t max_field_bytes = sink.max_field_bytes();
+  CsvRow row;
+  while (reader.Next(&row)) {
+    const char* error_class = ingest_error::kParse;
+    Status row_status = [&]() -> Status {
+      if (!row.parse.ok()) return row.parse;
+      if (row.fields.size() != header.size()) {
+        error_class = ingest_error::kColumns;
+        return Status::Corruption(
+            StringPrintf("expected %zu columns, found %zu", header.size(),
+                         row.fields.size()));
+      }
+      if (max_field_bytes != 0) {
+        for (const std::string& field : row.fields) {
+          if (field.size() > max_field_bytes) {
+            error_class = ingest_error::kOversizedField;
+            return Status::Corruption(
+                StringPrintf("field of %zu bytes exceeds limit %zu",
+                             field.size(), max_field_bytes));
+          }
+        }
+      }
+      return handler(row, &error_class);
+    }();
+    if (!row_status.ok()) {
+      TPIIN_RETURN_IF_ERROR(sink.Reject(path, row.line_number, row.raw,
+                                        error_class, row_status));
+      continue;
+    }
+    sink.CountLoaded();
+  }
+  return Status::OK();
+}
+
+Result<int64_t> EntityIdIndex::ParseNewId(const std::string& field,
+                                          const char* what,
+                                          const char** error_class) const {
+  Result<int64_t> id = ParseInt64(field);
+  if (!id.ok() || *id < 0) {
+    *error_class = ingest_error::kBadNumber;
+    return Status::Corruption("bad id: " + field);
+  }
+  if (Lookup(*id) >= 0) {
+    *error_class = ingest_error::kDuplicateId;
+    return Status::Corruption(
+        StringPrintf("duplicate %s id %s", what, field.c_str()));
+  }
+  return id;
+}
+
+Status EntityIdIndex::Add(int64_t file_id) {
+  if (dense_) {
+    if (file_id == static_cast<int64_t>(next_)) {
+      ++next_;
+      return Status::OK();
+    }
+    // First non-sequential id: fall back to the hash map.
+    map_.reserve(next_ + 1);
+    for (uint64_t i = 0; i < next_; ++i) {
+      map_.emplace(static_cast<int64_t>(i), static_cast<uint32_t>(i));
+    }
+    dense_ = false;
+  }
+  auto [it, inserted] =
+      map_.emplace(file_id, static_cast<uint32_t>(next_));
+  if (!inserted) {
+    return Status::Corruption(
+        StringPrintf("duplicate id %lld", static_cast<long long>(file_id)));
+  }
+  ++next_;
+  return Status::OK();
+}
+
+Result<uint32_t> EntityIdIndex::Resolve(const std::string& field,
+                                        const char* what,
+                                        const char** error_class) const {
+  Result<int64_t> id = ParseInt64(field);
+  if (!id.ok()) {
+    *error_class = ingest_error::kBadNumber;
+    return Status::Corruption(
+        StringPrintf("bad %s id: %s", what, field.c_str()));
+  }
+  const int64_t dense = Lookup(*id);
+  if (dense < 0) {
+    *error_class = ingest_error::kDanglingRef;
+    return Status::Corruption(
+        StringPrintf("%s id %s does not refer to a loaded row", what,
+                     field.c_str()));
+  }
+  return static_cast<uint32_t>(dense);
+}
+
 }  // namespace tpiin

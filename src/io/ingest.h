@@ -1,12 +1,17 @@
 #ifndef TPIIN_IO_INGEST_H_
 #define TPIIN_IO_INGEST_H_
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
+#include "common/csv.h"
+#include "common/result.h"
 #include "common/status.h"
 
 namespace tpiin {
@@ -83,16 +88,9 @@ struct LoadReport {
 /// Row-level rejection policy shared by the hardened loaders. One sink
 /// spans one logical load (possibly several files); the quarantine file
 /// is opened lazily on the first rejected row and committed by Finish().
-///
-/// Usage:
+/// ScanCsvTable drives it:
 ///   IngestSink sink(options, &report);
-///   for (...) {
-///     if (bad) {
-///       TPIIN_RETURN_IF_ERROR(sink.Reject(file, line, raw, class, status));
-///       continue;  // Row dropped (skip/quarantine mode).
-///     }
-///     sink.CountLoaded();
-///   }
+///   TPIIN_RETURN_IF_ERROR(ScanCsvTable(path, header, sink, handler));
 ///   TPIIN_RETURN_IF_ERROR(sink.Finish());
 class IngestSink {
  public:
@@ -116,11 +114,69 @@ class IngestSink {
   /// Commits the quarantine file (no-op when nothing was quarantined).
   Status Finish();
 
+  size_t max_field_bytes() const { return options_.max_field_bytes; }
+
  private:
   const IngestOptions& options_;
   LoadReport* report_;
   std::unique_ptr<AtomicFile> quarantine_;
   bool finished_ = false;
+};
+
+/// Per-row work of one loader. A handler that rejects `row` sets
+/// *error_class (an ingest_error:: token) and returns the reason.
+using RowHandler =
+    std::function<Status(const CsvRow& row, const char** error_class)>;
+
+/// The row loop of every headed CSV table. A missing file or a wrong
+/// header is fatal. A row that does not parse, has a column count other
+/// than the header's, carries a field over sink.max_field_bytes(), or is
+/// rejected by `handler` goes to `sink`, which applies the strict, skip
+/// or quarantine policy.
+Status ScanCsvTable(const std::string& path,
+                    const std::vector<std::string>& header, IngestSink& sink,
+                    const RowHandler& handler);
+
+/// File-id -> dense-row-index map for one entity table. Ids come from the
+/// id column (not row order), so a row that never registers leaves a hole
+/// instead of silently shifting every later reference. Sized for
+/// national-ledger inputs: when ids arrive as the dense sequence 0,1,2,...
+/// (every generated dataset, and any re-export of one) it stores nothing
+/// at all; the hash map materializes only on the first gap or
+/// permutation.
+class EntityIdIndex {
+ public:
+  /// Parses the id column of an entity row that is about to register:
+  /// bad_number unless it is a non-negative integer, duplicate_id when a
+  /// row already registered it. `what` names the entity ("person").
+  Result<int64_t> ParseNewId(const std::string& field, const char* what,
+                             const char** error_class) const;
+
+  /// Registers `file_id` as the next dense row. Duplicate ids fail.
+  Status Add(int64_t file_id);
+
+  /// Dense index of the row a reference field names: bad_number when
+  /// `field` is not an integer, dangling_ref when no row registered it.
+  Result<uint32_t> Resolve(const std::string& field, const char* what,
+                           const char** error_class) const;
+
+  /// Dense index of `file_id`, or -1 when no such row was registered.
+  int64_t Lookup(int64_t file_id) const {
+    if (dense_) {
+      return file_id >= 0 && static_cast<uint64_t>(file_id) < next_
+                 ? file_id
+                 : -1;
+    }
+    auto it = map_.find(file_id);
+    return it == map_.end() ? -1 : static_cast<int64_t>(it->second);
+  }
+
+  uint64_t size() const { return next_; }
+
+ private:
+  bool dense_ = true;
+  uint64_t next_ = 0;
+  std::unordered_map<int64_t, uint32_t> map_;
 };
 
 }  // namespace tpiin

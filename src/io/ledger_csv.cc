@@ -58,24 +58,13 @@ Result<Ledger> LoadLedgerCsv(const std::string& directory,
   IngestSink sink(options, report);
   Ledger ledger;
 
-  {
-    const std::string path = directory + "/market.csv";
-    CsvFileReader reader(path);
-    TPIIN_RETURN_IF_ERROR(reader.status());
-    TPIIN_RETURN_IF_ERROR(reader.ExpectHeader(kMarketHeader));
-    CsvRow row;
-    while (reader.Next(&row)) {
-      const char* error_class = ingest_error::kParse;
-      Status row_status = [&]() -> Status {
-        if (!row.parse.ok()) return row.parse;
-        if (row.fields.size() != 2) {
-          error_class = ingest_error::kColumns;
-          return Status::Corruption("bad column count");
-        }
+  TPIIN_RETURN_IF_ERROR(ScanCsvTable(
+      directory + "/market.csv", kMarketHeader, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
         Result<int64_t> category = ParseInt64(row.fields[0]);
         Result<double> price = ParseDouble(row.fields[1]);
         if (!category.ok() || !price.ok()) {
-          error_class = ingest_error::kBadNumber;
+          *cls = ingest_error::kBadNumber;
           return Status::Corruption("bad market row");
         }
         // Categories index the price vector, so they must stay dense; a
@@ -84,81 +73,55 @@ Result<Ledger> LoadLedgerCsv(const std::string& directory,
         // rather than silently re-pricing anything.
         if (*category !=
             static_cast<int64_t>(ledger.market.unit_price.size())) {
-          error_class = ingest_error::kIdRange;
+          *cls = ingest_error::kIdRange;
           return Status::Corruption("categories must be dense");
         }
         ledger.market.unit_price.push_back(*price);
         return Status::OK();
-      }();
-      if (!row_status.ok()) {
-        TPIIN_RETURN_IF_ERROR(sink.Reject(path, row.line_number, row.raw,
-                                          error_class, row_status));
-        continue;
-      }
-      sink.CountLoaded();
-    }
-  }
+      }));
 
-  {
-    const std::string path = directory + "/transactions.csv";
-    CsvFileReader reader(path);
-    TPIIN_RETURN_IF_ERROR(reader.status());
-    TPIIN_RETURN_IF_ERROR(reader.ExpectHeader(kTransactionsHeader));
-    std::unordered_set<uint64_t> relations;
-    CsvRow row;
-    while (reader.Next(&row)) {
-      const char* error_class = ingest_error::kParse;
-      Status row_status = [&]() -> Status {
-        if (!row.parse.ok()) return row.parse;
-        if (row.fields.size() != 7) {
-          error_class = ingest_error::kColumns;
-          return Status::Corruption("bad column count");
-        }
-        Transaction tx;
-        Result<int64_t> id = ParseInt64(row.fields[0]);
-        Result<int64_t> seller = ParseInt64(row.fields[1]);
-        Result<int64_t> buyer = ParseInt64(row.fields[2]);
-        Result<int64_t> category = ParseInt64(row.fields[3]);
-        Result<double> quantity = ParseDouble(row.fields[4]);
-        Result<double> unit_price = ParseDouble(row.fields[5]);
+  std::unordered_set<uint64_t> relations;
+  TPIIN_RETURN_IF_ERROR(ScanCsvTable(
+      directory + "/transactions.csv", kTransactionsHeader, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        const std::vector<std::string>& f = row.fields;
+        Result<int64_t> id = ParseInt64(f[0]);
+        Result<int64_t> seller = ParseInt64(f[1]);
+        Result<int64_t> buyer = ParseInt64(f[2]);
+        Result<int64_t> category = ParseInt64(f[3]);
+        Result<double> quantity = ParseDouble(f[4]);
+        Result<double> unit_price = ParseDouble(f[5]);
         if (!id.ok() || !seller.ok() || !buyer.ok() || !category.ok() ||
             !quantity.ok() || !unit_price.ok()) {
-          error_class = ingest_error::kBadNumber;
+          *cls = ingest_error::kBadNumber;
           return Status::Corruption("bad transaction row");
         }
         if (*category < 0 ||
             *category >=
                 static_cast<int64_t>(ledger.market.num_categories())) {
-          error_class = ingest_error::kDanglingRef;
-          return Status::Corruption("bad category " + row.fields[3]);
+          *cls = ingest_error::kDanglingRef;
+          return Status::Corruption("bad category " + f[3]);
         }
-        if (row.fields[6] != "0" && row.fields[6] != "1") {
-          error_class = ingest_error::kBadEnum;
+        if (f[6] != "0" && f[6] != "1") {
+          *cls = ingest_error::kBadEnum;
           return Status::Corruption("bad mispriced flag");
         }
+        Transaction tx;
         tx.id = static_cast<TransactionId>(*id);
         tx.seller = static_cast<CompanyId>(*seller);
         tx.buyer = static_cast<CompanyId>(*buyer);
         tx.category = static_cast<CategoryId>(*category);
         tx.quantity = *quantity;
         tx.unit_price = *unit_price;
-        if (row.fields[6] == "1") {
+        if (f[6] == "1") {
           ledger.mispriced.push_back(ledger.transactions.size());
         }
         relations.insert((static_cast<uint64_t>(tx.seller) << 32) |
                          tx.buyer);
         ledger.transactions.push_back(tx);
         return Status::OK();
-      }();
-      if (!row_status.ok()) {
-        TPIIN_RETURN_IF_ERROR(sink.Reject(path, row.line_number, row.raw,
-                                          error_class, row_status));
-        continue;
-      }
-      sink.CountLoaded();
-    }
-    ledger.num_relations = relations.size();
-  }
+      }));
+  ledger.num_relations = relations.size();
 
   TPIIN_RETURN_IF_ERROR(sink.Finish());
   return ledger;

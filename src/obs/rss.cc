@@ -44,9 +44,8 @@ int64_t CurrentRssBytes() {
 
 int64_t SampleRssGauges() {
   const int64_t peak = PeakRssBytes();
-  const int64_t current = CurrentRssBytes();
   TPIIN_GAUGE_MAX("process.peak_rss_bytes", peak);
-  TPIIN_GAUGE_SET("process.current_rss_bytes", current);
+  TPIIN_GAUGE_SET("process.current_rss_bytes", CurrentRssBytes());
   return peak;
 }
 

@@ -4,10 +4,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <vector>
 
-#include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -24,15 +22,6 @@ namespace tpiin {
 
 namespace {
 
-constexpr size_t kNumTables = 6;
-constexpr const char* kTableFiles[kNumTables] = {
-    "persons.csv",   "companies.csv",  "interdependence.csv",
-    "influence.csv", "investment.csv", "trades.csv"};
-constexpr const char* kTableHeaders[kNumTables] = {
-    "id,name,roles", "id,name", "person_a,person_b,kind",
-    "person,company,kind,legal_person", "investor,investee,share",
-    "seller,buyer"};
-
 std::string SpillDirOf(const std::string& out_dir, uint32_t shard) {
   return out_dir + StringPrintf("/spill/shard-%05u", shard);
 }
@@ -47,7 +36,7 @@ class SpillRouter {
       : out_dir_(out_dir),
         num_shards_(num_shards),
         buffer_bytes_(std::max<size_t>(buffer_bytes, 4096)),
-        buffers_(static_cast<size_t>(num_shards) * kNumTables) {}
+        buffers_(static_cast<size_t>(num_shards) * kNumDatasetTables) {}
 
   /// Creates every spill directory with header-only CSV files, so each
   /// one is a loadable dataset even for a shard that receives no rows.
@@ -59,20 +48,13 @@ class SpillRouter {
       if (ec) {
         return Status::IOError(dir + ": cannot create spill directory");
       }
-      for (size_t t = 0; t < kNumTables; ++t) {
-        std::ofstream file(dir + "/" + kTableFiles[t],
-                           std::ios::binary | std::ios::trunc);
-        file << kTableHeaders[t] << '\n';
-        if (!file.good()) {
-          return Status::IOError(dir + ": cannot write spill header");
-        }
-      }
+      TPIIN_RETURN_IF_ERROR(DatasetCsvWriter(dir).Close());
     }
     return Status::OK();
   }
 
-  Status Append(uint32_t shard, size_t table, const std::string& raw) {
-    std::string& buffer = buffers_[shard * kNumTables + table];
+  Status Append(uint32_t shard, DatasetTable table, const std::string& raw) {
+    std::string& buffer = BufferOf(shard, table);
     buffer += raw;
     buffer += '\n';
     if (buffer.size() >= buffer_bytes_) return Flush(shard, table);
@@ -81,19 +63,23 @@ class SpillRouter {
 
   Status FlushAll() {
     for (uint32_t s = 0; s < num_shards_; ++s) {
-      for (size_t t = 0; t < kNumTables; ++t) {
-        TPIIN_RETURN_IF_ERROR(Flush(s, t));
+      for (size_t t = 0; t < kNumDatasetTables; ++t) {
+        TPIIN_RETURN_IF_ERROR(Flush(s, static_cast<DatasetTable>(t)));
       }
     }
     return Status::OK();
   }
 
  private:
-  Status Flush(uint32_t shard, size_t table) {
-    std::string& buffer = buffers_[shard * kNumTables + table];
+  std::string& BufferOf(uint32_t shard, DatasetTable table) {
+    return buffers_[shard * kNumDatasetTables + static_cast<size_t>(table)];
+  }
+
+  Status Flush(uint32_t shard, DatasetTable table) {
+    std::string& buffer = BufferOf(shard, table);
     if (buffer.empty()) return Status::OK();
     const std::string path =
-        SpillDirOf(out_dir_, shard) + "/" + kTableFiles[table];
+        SpillDirOf(out_dir_, shard) + "/" + DatasetTableFile(table);
     std::ofstream file(path, std::ios::binary | std::ios::app);
     file.write(buffer.data(),
                static_cast<std::streamsize>(buffer.size()));
@@ -108,40 +94,6 @@ class SpillRouter {
   size_t buffer_bytes_;
   std::vector<std::string> buffers_;
 };
-
-/// Same strict row scan as the planning pass; the two passes must agree
-/// row for row.
-Status ScanRows(const std::string& path, size_t num_columns,
-                const std::function<Status(const CsvRow&)>& handler) {
-  CsvFileReader reader(path);
-  TPIIN_RETURN_IF_ERROR(reader.status());
-  CsvRow header;
-  if (!reader.Next(&header)) {
-    return Status::Corruption(path + ": missing header");
-  }
-  CsvRow row;
-  while (reader.Next(&row)) {
-    if (!row.parse.ok()) return row.parse;
-    if (row.fields.size() != num_columns) {
-      return Status::Corruption(
-          StringPrintf("%s:%zu: expected %zu columns", path.c_str(),
-                       row.line_number, num_columns));
-    }
-    TPIIN_RETURN_IF_ERROR(handler(row));
-  }
-  return Status::OK();
-}
-
-Result<uint32_t> DenseOf(const ShardIdIndex& index, const std::string& field,
-                         const std::string& path, size_t line) {
-  Result<int64_t> raw = ParseInt64(field);
-  int64_t dense = raw.ok() ? index.Lookup(*raw) : -1;
-  if (dense < 0) {
-    return Status::Corruption(StringPrintf(
-        "%s:%zu: unresolvable id %s", path.c_str(), line, field.c_str()));
-  }
-  return static_cast<uint32_t>(dense);
-}
 
 }  // namespace
 
@@ -207,80 +159,77 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
     return Status::OK();
   };
 
-  {
-    uint64_t row_index = 0;
-    const std::string path = data_dir + "/persons.csv";
-    TPIIN_RETURN_IF_ERROR(ScanRows(path, 3, [&](const CsvRow& row) -> Status {
-      const uint32_t shard = plan.ShardOfPersonRow(row_index);
-      ++manifest.shards[shard].persons;
-      ++row_index;
-      return router.Append(shard, 0, row.raw);
-    }));
-  }
-  {
-    uint64_t row_index = 0;
-    const std::string path = data_dir + "/companies.csv";
-    TPIIN_RETURN_IF_ERROR(ScanRows(path, 2, [&](const CsvRow& row) -> Status {
-      const uint32_t shard = plan.ShardOfCompanyRow(row_index);
-      ++manifest.shards[shard].companies;
-      shard_gids[shard].push_back(static_cast<uint32_t>(row_index));
-      ++row_index;
-      return router.Append(shard, 1, row.raw);
-    }));
-  }
-  {
-    const std::string path = data_dir + "/interdependence.csv";
-    TPIIN_RETURN_IF_ERROR(ScanRows(path, 3, [&](const CsvRow& row) -> Status {
-      TPIIN_ASSIGN_OR_RETURN(
-          uint32_t a,
-          DenseOf(plan.person_index, row.fields[0], path, row.line_number));
-      return router.Append(plan.ShardOfPersonRow(a), 2, row.raw);
-    }));
-  }
-  {
-    const std::string path = data_dir + "/influence.csv";
-    TPIIN_RETURN_IF_ERROR(ScanRows(path, 4, [&](const CsvRow& row) -> Status {
-      TPIIN_ASSIGN_OR_RETURN(
-          uint32_t p,
-          DenseOf(plan.person_index, row.fields[0], path, row.line_number));
-      return router.Append(plan.ShardOfPersonRow(p), 3, row.raw);
-    }));
-  }
-  {
-    const std::string path = data_dir + "/investment.csv";
-    TPIIN_RETURN_IF_ERROR(ScanRows(path, 3, [&](const CsvRow& row) -> Status {
-      TPIIN_ASSIGN_OR_RETURN(
-          uint32_t a,
-          DenseOf(plan.company_index, row.fields[0], path, row.line_number));
-      return router.Append(plan.ShardOfCompanyRow(a), 4, row.raw);
-    }));
-  }
-  {
-    const std::string path = data_dir + "/trades.csv";
-    TPIIN_RETURN_IF_ERROR(ScanRows(path, 2, [&](const CsvRow& row) -> Status {
-      TPIIN_ASSIGN_OR_RETURN(
-          uint32_t s,
-          DenseOf(plan.company_index, row.fields[0], path, row.line_number));
-      TPIIN_ASSIGN_OR_RETURN(
-          uint32_t b,
-          DenseOf(plan.company_index, row.fields[1], path, row.line_number));
-      if (plan.company_component[s] == plan.company_component[b]) {
-        const uint32_t shard = plan.ShardOfCompanyRow(s);
-        ++manifest.shards[shard].trade_rows;
-        return router.Append(shard, 5, row.raw);
-      }
-      // Cross-component: cannot be suspicious (no common antecedent) and
-      // is never routed; only its deduplicated arc count is owed to the
-      // merged report.
-      const uint32_t pair[2] = {s, b};
-      cross_buffer.append(reinterpret_cast<const char*>(pair),
-                          sizeof(pair));
-      if (cross_buffer.size() >= options.spill_buffer_bytes) {
-        return flush_cross();
-      }
-      return Status::OK();
-    }));
-  }
+  // The same strict ingest as the planning pass, resolving ids only:
+  // the two passes must agree row for row.
+  const IngestOptions strict;
+  LoadReport route_report;
+  IngestSink sink(strict, &route_report);
+  uint64_t person_row = 0;
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      data_dir, DatasetTable::kPersons, sink,
+      [&](const CsvRow& row, const char**) -> Status {
+        const uint32_t shard = plan.ShardOfPersonRow(person_row++);
+        ++manifest.shards[shard].persons;
+        return router.Append(shard, DatasetTable::kPersons, row.raw);
+      }));
+  uint32_t company_row = 0;
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      data_dir, DatasetTable::kCompanies, sink,
+      [&](const CsvRow& row, const char**) -> Status {
+        const uint32_t shard = plan.ShardOfCompanyRow(company_row);
+        ++manifest.shards[shard].companies;
+        shard_gids[shard].push_back(company_row++);
+        return router.Append(shard, DatasetTable::kCompanies, row.raw);
+      }));
+  const EntityIdIndex& persons = plan.person_index;
+  const EntityIdIndex& companies = plan.company_index;
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      data_dir, DatasetTable::kInterdependence, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        TPIIN_ASSIGN_OR_RETURN(uint32_t a,
+                               persons.Resolve(row.fields[0], "person", cls));
+        return router.Append(plan.ShardOfPersonRow(a),
+                             DatasetTable::kInterdependence, row.raw);
+      }));
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      data_dir, DatasetTable::kInfluence, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        TPIIN_ASSIGN_OR_RETURN(uint32_t p,
+                               persons.Resolve(row.fields[0], "person", cls));
+        return router.Append(plan.ShardOfPersonRow(p),
+                             DatasetTable::kInfluence, row.raw);
+      }));
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      data_dir, DatasetTable::kInvestment, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t a, companies.Resolve(row.fields[0], "company", cls));
+        return router.Append(plan.ShardOfCompanyRow(a),
+                             DatasetTable::kInvestment, row.raw);
+      }));
+  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
+      data_dir, DatasetTable::kTrades, sink,
+      [&](const CsvRow& row, const char** cls) -> Status {
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t s, companies.Resolve(row.fields[0], "company", cls));
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t b, companies.Resolve(row.fields[1], "company", cls));
+        if (plan.company_component[s] == plan.company_component[b]) {
+          const uint32_t shard = plan.ShardOfCompanyRow(s);
+          ++manifest.shards[shard].trade_rows;
+          return router.Append(shard, DatasetTable::kTrades, row.raw);
+        }
+        // Cross-component: cannot be suspicious (no common antecedent)
+        // and is never routed; only its deduplicated arc count is owed to
+        // the merged report.
+        const uint32_t pair[2] = {s, b};
+        cross_buffer.append(reinterpret_cast<const char*>(pair),
+                            sizeof(pair));
+        if (cross_buffer.size() >= options.spill_buffer_bytes) {
+          return flush_cross();
+        }
+        return Status::OK();
+      }));
   TPIIN_RETURN_IF_ERROR(router.FlushAll());
   TPIIN_RETURN_IF_ERROR(flush_cross());
   if (report != nullptr) {

@@ -3,43 +3,12 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
+#include "io/ingest.h"
 
 namespace tpiin {
-
-/// File-id -> dense-row-index map for one entity table, sized for
-/// streaming over national-ledger inputs: when ids arrive as the dense
-/// sequence 0,1,2,... (every generated dataset, and any re-export of
-/// one) it stores nothing at all; the hash map materializes only on the
-/// first gap or permutation. Dense indices here match LoadDatasetCsv's
-/// remapping (id column order = row order), which is what makes a
-/// per-shard load agree with the global one.
-class ShardIdIndex {
- public:
-  /// Registers `file_id` as the next dense row. Duplicate ids fail.
-  Status Add(int64_t file_id);
-
-  /// Dense index of `file_id`, or -1 when no such row was registered.
-  int64_t Lookup(int64_t file_id) const {
-    if (dense_) {
-      return file_id >= 0 && static_cast<uint64_t>(file_id) < next_
-                 ? file_id
-                 : -1;
-    }
-    auto it = map_.find(file_id);
-    return it == map_.end() ? -1 : static_cast<int64_t>(it->second);
-  }
-
-  uint64_t size() const { return next_; }
-
- private:
-  bool dense_ = true;
-  uint64_t next_ = 0;
-  std::unordered_map<int64_t, uint32_t> map_;
-};
 
 struct ShardPlanOptions {
   uint32_t num_shards = 1;
@@ -66,9 +35,12 @@ struct ShardPlan {
   /// Planned row weight per shard (entities + relation + intra trades).
   std::vector<uint64_t> shard_weight;
 
-  /// Id lookup for the routing pass (second streaming pass).
-  ShardIdIndex person_index;
-  ShardIdIndex company_index;
+  /// Id lookup for the routing pass (second streaming pass). Dense
+  /// indices here match LoadDatasetCsv's remapping (id column order = row
+  /// order), which is what makes a per-shard load agree with the global
+  /// one.
+  EntityIdIndex person_index;
+  EntityIdIndex company_index;
 
   /// Trading-layer census from the planning pass. Rows whose endpoints
   /// lie in different components are counted cross (they cannot be
@@ -85,8 +57,9 @@ struct ShardPlan {
 };
 
 /// First streaming pass: scans the six CSV tables of `data_dir` once
-/// (strict parsing — shard building wants clean input; run the hardened
-/// single-process loader to triage a damaged extract), unions persons
+/// (strict ingest that resolves ids only — shard building wants clean
+/// input; run the hardened single-process loader to triage a damaged
+/// extract; errors name the table and line), unions persons
 /// and companies over interdependence/influence/investment rows, and
 /// balances the resulting components across `options.num_shards` shards
 /// by descending row weight. Peak memory is O(entities), independent of

@@ -88,6 +88,17 @@ TEST_F(StreamTest, MatchesBatchGeneratorPaperConfig) {
   ExpectStreamMatchesBatch(config);
 }
 
+TEST_F(StreamTest, MatchesBatchGeneratorOnCompleteAndEmptyTradingLayers) {
+  // p = 1 takes the complete-graph branch of the trading layer, which
+  // draws nothing; without a trading layer trades.csv is header-only.
+  ProvinceConfig complete = SmallProvinceConfig(30, /*seed=*/41);
+  complete.trading_probability = 1.0;
+  ExpectStreamMatchesBatch(complete);
+  ProvinceConfig no_trading = SmallProvinceConfig(30, /*seed=*/41);
+  no_trading.generate_trading = false;
+  ExpectStreamMatchesBatch(no_trading);
+}
+
 TEST_F(StreamTest, OversizedLargeGroupStopsTheListWithoutWrap) {
   // A configured group size near UINT32_MAX must stop the large-group
   // scan: a wrapping `used + s` admission check would accept a group

@@ -55,6 +55,41 @@ class RobustIngestTest : public ::testing::Test {
   size_t num_persons_ = 0;
 };
 
+TEST(EntityIdIndexTest, DensePathAndLookup) {
+  EntityIdIndex index;
+  for (int64_t id = 0; id < 100; ++id) {
+    ASSERT_TRUE(index.Add(id).ok());
+  }
+  EXPECT_EQ(index.size(), 100u);
+  EXPECT_EQ(index.Lookup(0), 0);
+  EXPECT_EQ(index.Lookup(99), 99);
+  EXPECT_EQ(index.Lookup(100), -1);
+  EXPECT_EQ(index.Lookup(-1), -1);
+}
+
+TEST(EntityIdIndexTest, GapFallsBackToMap) {
+  EntityIdIndex index;
+  ASSERT_TRUE(index.Add(0).ok());
+  ASSERT_TRUE(index.Add(1).ok());
+  ASSERT_TRUE(index.Add(7).ok());  // Gap: dense rows 0,1 migrate.
+  ASSERT_TRUE(index.Add(3).ok());
+  EXPECT_EQ(index.size(), 4u);
+  EXPECT_EQ(index.Lookup(0), 0);
+  EXPECT_EQ(index.Lookup(1), 1);
+  EXPECT_EQ(index.Lookup(7), 2);
+  EXPECT_EQ(index.Lookup(3), 3);
+  EXPECT_EQ(index.Lookup(2), -1);
+}
+
+TEST(EntityIdIndexTest, DuplicateRejectedOnBothPaths) {
+  EntityIdIndex dense;
+  ASSERT_TRUE(dense.Add(0).ok());
+  EXPECT_TRUE(dense.Add(0).IsCorruption());
+  EntityIdIndex sparse;
+  ASSERT_TRUE(sparse.Add(5).ok());
+  EXPECT_TRUE(sparse.Add(5).IsCorruption());
+}
+
 TEST_F(RobustIngestTest, StrictModeFailsOnFirstBadRow) {
   WriteGoodDataset();
   Append(dir_ + "/trades.csv", "xx,yy\n");
@@ -309,6 +344,20 @@ TEST_F(RobustIngestTest, LedgerSkipModeDropsBadTransactionRows) {
       << "category 7 refers to no market row";
   EXPECT_EQ(report.errors_by_class.at(ingest_error::kBadEnum), 1u)
       << "mispriced flag must be 0 or 1";
+}
+
+TEST_F(RobustIngestTest, LedgerOversizedFieldClassified) {
+  // A 200-digit price parses as a double; only the field guard stops it.
+  WriteLedgerFiles(dir_, "2,0,1,0,1," + std::string(200, '1') + ",0\n");
+  IngestOptions options;
+  options.mode = IngestMode::kSkip;
+  options.max_field_bytes = 64;
+  LoadReport report;
+  auto ledger = LoadLedgerCsv(dir_, options, &report);
+  ASSERT_TRUE(ledger.ok()) << ledger.status().ToString();
+  EXPECT_EQ(ledger->transactions.size(), 2u);
+  EXPECT_EQ(report.rows_rejected, 1u);
+  EXPECT_EQ(report.errors_by_class.count(ingest_error::kOversizedField), 1u);
 }
 
 TEST_F(RobustIngestTest, LoadReportToStringSummarizes) {

@@ -1,18 +1,21 @@
-// Shard planner units: the id index's dense fast path and fallback, the
-// streaming union-find's component structure on a hand-built dataset,
-// cross-trade accounting, balance determinism, and strictness against
-// malformed input.
+// Shard planner units: the streaming union-find's component structure on
+// a hand-built dataset, cross-trade accounting, balance determinism, and
+// strictness against malformed input.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "datagen/province.h"
+#include "io/dataset_csv.h"
+#include "shard/build.h"
 #include "shard/plan.h"
 
 namespace tpiin {
@@ -67,41 +70,6 @@ class ShardPlanTest : public ::testing::Test {
 
   std::string dir_;
 };
-
-TEST(ShardIdIndexTest, DensePathAndLookup) {
-  ShardIdIndex index;
-  for (int64_t id = 0; id < 100; ++id) {
-    ASSERT_TRUE(index.Add(id).ok());
-  }
-  EXPECT_EQ(index.size(), 100u);
-  EXPECT_EQ(index.Lookup(0), 0);
-  EXPECT_EQ(index.Lookup(99), 99);
-  EXPECT_EQ(index.Lookup(100), -1);
-  EXPECT_EQ(index.Lookup(-1), -1);
-}
-
-TEST(ShardIdIndexTest, GapFallsBackToMap) {
-  ShardIdIndex index;
-  ASSERT_TRUE(index.Add(0).ok());
-  ASSERT_TRUE(index.Add(1).ok());
-  ASSERT_TRUE(index.Add(7).ok());  // Gap: dense rows 0,1 migrate.
-  ASSERT_TRUE(index.Add(3).ok());
-  EXPECT_EQ(index.size(), 4u);
-  EXPECT_EQ(index.Lookup(0), 0);
-  EXPECT_EQ(index.Lookup(1), 1);
-  EXPECT_EQ(index.Lookup(7), 2);
-  EXPECT_EQ(index.Lookup(3), 3);
-  EXPECT_EQ(index.Lookup(2), -1);
-}
-
-TEST(ShardIdIndexTest, DuplicateRejectedOnBothPaths) {
-  ShardIdIndex dense;
-  ASSERT_TRUE(dense.Add(0).ok());
-  EXPECT_TRUE(dense.Add(0).IsCorruption());
-  ShardIdIndex sparse;
-  ASSERT_TRUE(sparse.Add(5).ok());
-  EXPECT_TRUE(sparse.Add(5).IsCorruption());
-}
 
 TEST_F(ShardPlanTest, ComponentsAndCrossTrades) {
   WriteDataset();
@@ -171,6 +139,52 @@ TEST_F(ShardPlanTest, MissingTableFails) {
   WriteDataset();
   std::filesystem::remove(dir_ + "/influence.csv");
   EXPECT_FALSE(PlanShards(dir_, {.num_shards = 2}).ok());
+}
+
+// Row damage must fail a sharded build at the input table and line, as
+// the single-process loader reports it, before any shard is written.
+TEST_F(ShardPlanTest, DamagedRowFailsBuildAtInputTableAndLine) {
+  struct Damage {
+    const char* table;
+    size_t line;  // 1-based; line 1 is the header.
+    std::string replacement;
+  };
+  const Damage damages[] = {
+      {"persons.csv", 4, "2,\"L0002,1"},  // Unterminated quote.
+      {"companies.csv", 10, "7,C0008"},   // Duplicate id 7.
+      {"companies.csv", 5, "3," + std::string(70000, 'x')},  // Oversized.
+  };
+  ProvinceConfig config = SmallProvinceConfig(60, /*seed=*/3);
+  Result<Province> province = GenerateProvince(config);
+  ASSERT_TRUE(province.ok()) << province.status().ToString();
+  for (const Damage& damage : damages) {
+    ASSERT_TRUE(SaveDatasetCsv(dir_, province->dataset).ok());
+    const std::string path = dir_ + "/" + damage.table;
+    std::ifstream in(path);
+    std::ostringstream damaged;
+    std::string line;
+    for (size_t n = 1; std::getline(in, line); ++n) {
+      damaged << (n == damage.line ? damage.replacement : line) << "\n";
+    }
+    in.close();
+    WriteTable(damage.table, damaged.str());
+
+    const std::string out_dir = dir_ + "/shards";
+    std::filesystem::remove_all(out_dir);
+    Result<ShardManifest> manifest =
+        BuildShards(dir_, out_dir, {.num_shards = 4});
+    ASSERT_FALSE(manifest.ok()) << damage.table << ":" << damage.line;
+    const std::string message = manifest.status().ToString();
+    EXPECT_TRUE(manifest.status().IsCorruption()) << message;
+    EXPECT_NE(message.find(path + ":" + std::to_string(damage.line) + ":"),
+              std::string::npos)
+        << message;
+    EXPECT_EQ(message.find("spill"), std::string::npos) << message;
+    for (const auto& entry : std::filesystem::directory_iterator(out_dir)) {
+      EXPECT_NE(entry.path().filename().string().rfind("part-", 0), 0u)
+          << entry.path();
+    }
+  }
 }
 
 }  // namespace
