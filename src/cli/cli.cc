@@ -730,7 +730,7 @@ Status RunShardBuild(const std::vector<std::string>& args,
   flags.DefineInt64("spill-buffer-kb", 1024,
                     "per-(shard, table) routing buffer");
   flags.DefineBool("keep-spill", false,
-                   "keep the routed per-shard CSV spill directories");
+                   "keep <out>/spill/ after the build, even a failed one");
   flags.DefineBool("wcc-index", true,
                    "precompute each shard's segmentation index");
   flags.DefineString("report", "", "machine-readable run report (JSON)");

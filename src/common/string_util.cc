@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -76,31 +77,45 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 Result<int64_t> ParseInt64(std::string_view s) {
   s = Trim(s);
   if (s.empty()) return Status::InvalidArgument("empty integer literal");
-  std::string buf(s);
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno == ERANGE) {
-    return Status::OutOfRange("integer out of range: " + buf);
+  // strtoll's base-10 syntax: one optional sign, then digits. from_chars
+  // takes a '-' but not a '+', so strip a '+' that a digit follows.
+  const std::string_view digits =
+      s.size() > 1 && s[0] == '+' && s[1] != '-' ? s.substr(1) : s;
+  int64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::OutOfRange("integer out of range: " + std::string(s));
   }
-  if (end != buf.c_str() + buf.size()) {
-    return Status::InvalidArgument("not an integer: " + buf);
+  if (ec != std::errc() || end != digits.data() + digits.size()) {
+    return Status::InvalidArgument("not an integer: " + std::string(s));
   }
-  return static_cast<int64_t>(v);
+  return value;
 }
 
 Result<double> ParseDouble(std::string_view s) {
   s = Trim(s);
   if (s.empty()) return Status::InvalidArgument("empty double literal");
-  std::string buf(s);
+  // strtod wants a NUL-terminated string; short literals stay on the
+  // stack.
+  char local[64];
+  std::string long_literal;
+  const char* text = local;
+  if (s.size() < sizeof(local)) {
+    std::memcpy(local, s.data(), s.size());
+    local[s.size()] = '\0';
+  } else {
+    long_literal.assign(s);
+    text = long_literal.c_str();
+  }
   errno = 0;
   char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
+  const double v = std::strtod(text, &end);
   if (errno == ERANGE) {
-    return Status::OutOfRange("double out of range: " + buf);
+    return Status::OutOfRange("double out of range: " + std::string(s));
   }
-  if (end != buf.c_str() + buf.size()) {
-    return Status::InvalidArgument("not a double: " + buf);
+  if (end != text + s.size()) {
+    return Status::InvalidArgument("not a double: " + std::string(s));
   }
   return v;
 }

@@ -25,10 +25,14 @@ std::string_view Trim(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
-/// Parses a base-10 signed integer; the whole string must be consumed.
+/// Parses a base-10 signed integer with strtoll's syntax (surrounding
+/// whitespace, one optional '+' or '-'); the whole string must be
+/// consumed, and overflow is OutOfRange. Allocates only for an error.
 Result<int64_t> ParseInt64(std::string_view s);
 
-/// Parses a double; the whole string must be consumed.
+/// Parses a double with strtod's syntax (hex, inf and nan included); the
+/// whole string must be consumed, and overflow or underflow is
+/// OutOfRange. Allocates only for an error or a literal over 63 bytes.
 Result<double> ParseDouble(std::string_view s);
 
 /// Renders an integer with thousands separators: 1234567 -> "1,234,567".

@@ -126,6 +126,81 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory) {
   return LoadDatasetCsv(directory, IngestOptions{}, nullptr);
 }
 
+Status CheckDatasetRowValues(DatasetTable table, const CsvRow& row,
+                             const char** error_class,
+                             DatasetRowValues* values) {
+  const std::vector<std::string_view>& f = row.fields;
+  auto reject = [&](const char* cls, std::string message) {
+    *error_class = cls;
+    return Status::Corruption(std::move(message));
+  };
+  switch (table) {
+    case DatasetTable::kPersons: {
+      if (!IsValidUtf8(f[1])) {
+        return reject(ingest_error::kBadUtf8,
+                      "person name is not valid UTF-8");
+      }
+      Result<int64_t> roles = ParseInt64(f[2]);
+      if (!roles.ok()) {
+        return reject(ingest_error::kBadNumber,
+                      "bad roles mask " + std::string(f[2]));
+      }
+      if (*roles < 0 || *roles > kAllRoleBits) {
+        return reject(ingest_error::kBadEnum,
+                      "bad roles mask " + std::string(f[2]));
+      }
+      values->roles = static_cast<PersonRoles>(*roles);
+      return Status::OK();
+    }
+    case DatasetTable::kCompanies:
+      if (!IsValidUtf8(f[1])) {
+        return reject(ingest_error::kBadUtf8,
+                      "company name is not valid UTF-8");
+      }
+      return Status::OK();
+    case DatasetTable::kInterdependence:
+      if (f[2] == "kinship") {
+        values->interdependence = InterdependenceKind::kKinship;
+      } else if (f[2] == "interlocking") {
+        values->interdependence = InterdependenceKind::kInterlocking;
+      } else {
+        return reject(ingest_error::kBadEnum,
+                      "bad interdependence kind " + std::string(f[2]));
+      }
+      return Status::OK();
+    case DatasetTable::kInfluence: {
+      Result<int64_t> kind = ParseInt64(f[2]);
+      if (!kind.ok()) {
+        return reject(ingest_error::kBadNumber,
+                      "bad influence kind " + std::string(f[2]));
+      }
+      if (*kind < 0 || *kind > 3) {
+        return reject(ingest_error::kBadEnum,
+                      "bad influence kind " + std::string(f[2]));
+      }
+      if (f[3] != "0" && f[3] != "1") {
+        return reject(ingest_error::kBadEnum,
+                      "bad legal_person flag " + std::string(f[3]));
+      }
+      values->influence = static_cast<InfluenceKind>(*kind);
+      values->is_legal_person = f[3] == "1";
+      return Status::OK();
+    }
+    case DatasetTable::kInvestment: {
+      Result<double> share = ParseDouble(f[2]);
+      if (!share.ok()) {
+        return reject(ingest_error::kBadNumber,
+                      "bad share " + std::string(f[2]));
+      }
+      values->share = *share;
+      return Status::OK();
+    }
+    case DatasetTable::kTrades:
+      return Status::OK();
+  }
+  return Status::OK();
+}
+
 Result<RawDataset> LoadDatasetCsv(const std::string& directory,
                                   const IngestOptions& options,
                                   LoadReport* report) {
@@ -138,120 +213,87 @@ Result<RawDataset> LoadDatasetCsv(const std::string& directory,
   IngestSink sink(options, report);
   EntityIdIndex person_ids;
   EntityIdIndex company_ids;
+  DatasetRowValues v;
 
-  // Entity rows check duplicates before their values and register the
-  // id only once the row is accepted, so a rejected row leaves a hole.
+  // Every row checks its ids before its values. Entity rows register
+  // the id only once the row is accepted, so a rejected row leaves a
+  // hole.
   TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
       directory, DatasetTable::kPersons, sink,
       [&](const CsvRow& row, const char** cls) -> Status {
-        const std::vector<std::string>& f = row.fields;
-        TPIIN_ASSIGN_OR_RETURN(int64_t id,
-                               person_ids.ParseNewId(f[0], "person", cls));
-        if (!IsValidUtf8(f[1])) {
-          *cls = ingest_error::kBadUtf8;
-          return Status::Corruption("person name is not valid UTF-8");
-        }
-        Result<int64_t> roles = ParseInt64(f[2]);
-        if (!roles.ok()) {
-          *cls = ingest_error::kBadNumber;
-          return Status::Corruption("bad roles mask " + f[2]);
-        }
-        if (*roles < 0 || *roles > kAllRoleBits) {
-          *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad roles mask " + f[2]);
-        }
+        TPIIN_ASSIGN_OR_RETURN(
+            int64_t id, person_ids.ParseNewId(row.fields[0], "person", cls));
+        TPIIN_RETURN_IF_ERROR(
+            CheckDatasetRowValues(DatasetTable::kPersons, row, cls, &v));
         TPIIN_RETURN_IF_ERROR(person_ids.Add(id));
-        dataset.AddPerson(f[1], static_cast<PersonRoles>(*roles));
+        dataset.AddPerson(std::string(row.fields[1]), v.roles);
         return Status::OK();
       }));
 
   TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
       directory, DatasetTable::kCompanies, sink,
       [&](const CsvRow& row, const char** cls) -> Status {
-        const std::vector<std::string>& f = row.fields;
-        TPIIN_ASSIGN_OR_RETURN(int64_t id,
-                               company_ids.ParseNewId(f[0], "company", cls));
-        if (!IsValidUtf8(f[1])) {
-          *cls = ingest_error::kBadUtf8;
-          return Status::Corruption("company name is not valid UTF-8");
-        }
+        TPIIN_ASSIGN_OR_RETURN(
+            int64_t id,
+            company_ids.ParseNewId(row.fields[0], "company", cls));
+        TPIIN_RETURN_IF_ERROR(
+            CheckDatasetRowValues(DatasetTable::kCompanies, row, cls, &v));
         TPIIN_RETURN_IF_ERROR(company_ids.Add(id));
-        dataset.AddCompany(f[1]);
+        dataset.AddCompany(std::string(row.fields[1]));
         return Status::OK();
       }));
 
   TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
       directory, DatasetTable::kInterdependence, sink,
       [&](const CsvRow& row, const char** cls) -> Status {
-        const std::vector<std::string>& f = row.fields;
-        TPIIN_ASSIGN_OR_RETURN(uint32_t a,
-                               person_ids.Resolve(f[0], "person", cls));
-        TPIIN_ASSIGN_OR_RETURN(uint32_t b,
-                               person_ids.Resolve(f[1], "person", cls));
-        InterdependenceKind kind;
-        if (f[2] == "kinship") {
-          kind = InterdependenceKind::kKinship;
-        } else if (f[2] == "interlocking") {
-          kind = InterdependenceKind::kInterlocking;
-        } else {
-          *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad interdependence kind " + f[2]);
-        }
-        dataset.AddInterdependence(a, b, kind);
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t a, person_ids.Resolve(row.fields[0], "person", cls));
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t b, person_ids.Resolve(row.fields[1], "person", cls));
+        TPIIN_RETURN_IF_ERROR(CheckDatasetRowValues(
+            DatasetTable::kInterdependence, row, cls, &v));
+        dataset.AddInterdependence(a, b, v.interdependence);
         return Status::OK();
       }));
 
   TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
       directory, DatasetTable::kInfluence, sink,
       [&](const CsvRow& row, const char** cls) -> Status {
-        const std::vector<std::string>& f = row.fields;
-        TPIIN_ASSIGN_OR_RETURN(uint32_t person,
-                               person_ids.Resolve(f[0], "person", cls));
-        TPIIN_ASSIGN_OR_RETURN(uint32_t company,
-                               company_ids.Resolve(f[1], "company", cls));
-        Result<int64_t> kind = ParseInt64(f[2]);
-        if (!kind.ok()) {
-          *cls = ingest_error::kBadNumber;
-          return Status::Corruption("bad influence kind " + f[2]);
-        }
-        if (*kind < 0 || *kind > 3) {
-          *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad influence kind " + f[2]);
-        }
-        if (f[3] != "0" && f[3] != "1") {
-          *cls = ingest_error::kBadEnum;
-          return Status::Corruption("bad legal_person flag " + f[3]);
-        }
-        dataset.AddInfluence(person, company,
-                             static_cast<InfluenceKind>(*kind), f[3] == "1");
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t person, person_ids.Resolve(row.fields[0], "person", cls));
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t company,
+            company_ids.Resolve(row.fields[1], "company", cls));
+        TPIIN_RETURN_IF_ERROR(
+            CheckDatasetRowValues(DatasetTable::kInfluence, row, cls, &v));
+        dataset.AddInfluence(person, company, v.influence,
+                             v.is_legal_person);
         return Status::OK();
       }));
 
   TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
       directory, DatasetTable::kInvestment, sink,
       [&](const CsvRow& row, const char** cls) -> Status {
-        const std::vector<std::string>& f = row.fields;
-        TPIIN_ASSIGN_OR_RETURN(uint32_t investor,
-                               company_ids.Resolve(f[0], "company", cls));
-        TPIIN_ASSIGN_OR_RETURN(uint32_t investee,
-                               company_ids.Resolve(f[1], "company", cls));
-        Result<double> share = ParseDouble(f[2]);
-        if (!share.ok()) {
-          *cls = ingest_error::kBadNumber;
-          return Status::Corruption("bad share " + f[2]);
-        }
-        dataset.AddInvestment(investor, investee, *share);
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t investor,
+            company_ids.Resolve(row.fields[0], "company", cls));
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t investee,
+            company_ids.Resolve(row.fields[1], "company", cls));
+        TPIIN_RETURN_IF_ERROR(
+            CheckDatasetRowValues(DatasetTable::kInvestment, row, cls, &v));
+        dataset.AddInvestment(investor, investee, v.share);
         return Status::OK();
       }));
 
   TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
       directory, DatasetTable::kTrades, sink,
       [&](const CsvRow& row, const char** cls) -> Status {
-        const std::vector<std::string>& f = row.fields;
-        TPIIN_ASSIGN_OR_RETURN(uint32_t seller,
-                               company_ids.Resolve(f[0], "company", cls));
-        TPIIN_ASSIGN_OR_RETURN(uint32_t buyer,
-                               company_ids.Resolve(f[1], "company", cls));
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t seller,
+            company_ids.Resolve(row.fields[0], "company", cls));
+        TPIIN_ASSIGN_OR_RETURN(
+            uint32_t buyer, company_ids.Resolve(row.fields[1], "company", cls));
         dataset.AddTrade(seller, buyer);
         return Status::OK();
       }));

@@ -35,6 +35,28 @@ const char* DatasetTableFile(DatasetTable table);
 Status ScanDatasetTable(const std::string& directory, DatasetTable table,
                         IngestSink& sink, const RowHandler& handler);
 
+/// The value columns of one dataset row, decoded: everything but its
+/// entity ids and references. Each table sets only its own members:
+/// persons `roles`, interdependence `interdependence`, influence
+/// `influence` and `is_legal_person`, investment `share`.
+struct DatasetRowValues {
+  PersonRoles roles = 0;
+  InterdependenceKind interdependence = InterdependenceKind::kKinship;
+  InfluenceKind influence = InfluenceKind::kCeoAndDirectorOf;
+  bool is_legal_person = false;
+  double share = 0;
+};
+
+/// LoadDatasetCsv's value checks for one `table` row that has the
+/// table's column count: names are valid UTF-8; roles masks, kinds and
+/// the legal_person flag are in range; shares are numbers. Ids and
+/// references are the caller's to check, first. A bad value sets
+/// *error_class and returns the reason; otherwise `*values` holds the
+/// decoded columns. The sharded build's router runs the same checks.
+Status CheckDatasetRowValues(DatasetTable table, const CsvRow& row,
+                             const char** error_class,
+                             DatasetRowValues* values);
+
 /// Streams a dataset into the six tables under `directory` (created by
 /// the caller), one row per Add* call. The Add* methods are RawDataset's,
 /// so a generator can emit into either; persons and companies are written

@@ -117,7 +117,7 @@ Status ScanCsvTable(const std::string& path,
                          row.fields.size()));
       }
       if (max_field_bytes != 0) {
-        for (const std::string& field : row.fields) {
+        for (std::string_view field : row.fields) {
           if (field.size() > max_field_bytes) {
             error_class = ingest_error::kOversizedField;
             return Status::Corruption(
@@ -135,21 +135,22 @@ Status ScanCsvTable(const std::string& path,
     }
     sink.CountLoaded();
   }
-  return Status::OK();
+  return reader.status();
 }
 
-Result<int64_t> EntityIdIndex::ParseNewId(const std::string& field,
+Result<int64_t> EntityIdIndex::ParseNewId(std::string_view field,
                                           const char* what,
                                           const char** error_class) const {
   Result<int64_t> id = ParseInt64(field);
   if (!id.ok() || *id < 0) {
     *error_class = ingest_error::kBadNumber;
-    return Status::Corruption("bad id: " + field);
+    return Status::Corruption("bad id: " + std::string(field));
   }
   if (Lookup(*id) >= 0) {
     *error_class = ingest_error::kDuplicateId;
-    return Status::Corruption(
-        StringPrintf("duplicate %s id %s", what, field.c_str()));
+    return Status::Corruption(StringPrintf("duplicate %s id %.*s", what,
+                                           static_cast<int>(field.size()),
+                                           field.data()));
   }
   return id;
 }
@@ -177,21 +178,22 @@ Status EntityIdIndex::Add(int64_t file_id) {
   return Status::OK();
 }
 
-Result<uint32_t> EntityIdIndex::Resolve(const std::string& field,
+Result<uint32_t> EntityIdIndex::Resolve(std::string_view field,
                                         const char* what,
                                         const char** error_class) const {
   Result<int64_t> id = ParseInt64(field);
   if (!id.ok()) {
     *error_class = ingest_error::kBadNumber;
-    return Status::Corruption(
-        StringPrintf("bad %s id: %s", what, field.c_str()));
+    return Status::Corruption(StringPrintf("bad %s id: %.*s", what,
+                                           static_cast<int>(field.size()),
+                                           field.data()));
   }
   const int64_t dense = Lookup(*id);
   if (dense < 0) {
     *error_class = ingest_error::kDanglingRef;
-    return Status::Corruption(
-        StringPrintf("%s id %s does not refer to a loaded row", what,
-                     field.c_str()));
+    return Status::Corruption(StringPrintf(
+        "%s id %.*s does not refer to a loaded row", what,
+        static_cast<int>(field.size()), field.data()));
   }
   return static_cast<uint32_t>(dense);
 }

@@ -124,15 +124,16 @@ class IngestSink {
 };
 
 /// Per-row work of one loader. A handler that rejects `row` sets
-/// *error_class (an ingest_error:: token) and returns the reason.
+/// *error_class (an ingest_error:: token) and returns the reason. The
+/// row's views into the reader's buffer are valid only during the call.
 using RowHandler =
     std::function<Status(const CsvRow& row, const char** error_class)>;
 
-/// The row loop of every headed CSV table. A missing file or a wrong
-/// header is fatal. A row that does not parse, has a column count other
-/// than the header's, carries a field over sink.max_field_bytes(), or is
-/// rejected by `handler` goes to `sink`, which applies the strict, skip
-/// or quarantine policy.
+/// The row loop of every headed CSV table. A missing file, a wrong
+/// header or a read error is fatal. A row that does not parse, has a
+/// column count other than the header's, carries a field over
+/// sink.max_field_bytes(), or is rejected by `handler` goes to `sink`,
+/// which applies the strict, skip or quarantine policy.
 Status ScanCsvTable(const std::string& path,
                     const std::vector<std::string>& header, IngestSink& sink,
                     const RowHandler& handler);
@@ -149,7 +150,7 @@ class EntityIdIndex {
   /// Parses the id column of an entity row that is about to register:
   /// bad_number unless it is a non-negative integer, duplicate_id when a
   /// row already registered it. `what` names the entity ("person").
-  Result<int64_t> ParseNewId(const std::string& field, const char* what,
+  Result<int64_t> ParseNewId(std::string_view field, const char* what,
                              const char** error_class) const;
 
   /// Registers `file_id` as the next dense row. Duplicate ids fail.
@@ -157,7 +158,7 @@ class EntityIdIndex {
 
   /// Dense index of the row a reference field names: bad_number when
   /// `field` is not an integer, dangling_ref when no row registered it.
-  Result<uint32_t> Resolve(const std::string& field, const char* what,
+  Result<uint32_t> Resolve(std::string_view field, const char* what,
                            const char** error_class) const;
 
   /// Dense index of `file_id`, or -1 when no such row was registered.

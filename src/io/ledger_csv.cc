@@ -84,7 +84,7 @@ Result<Ledger> LoadLedgerCsv(const std::string& directory,
   TPIIN_RETURN_IF_ERROR(ScanCsvTable(
       directory + "/transactions.csv", kTransactionsHeader, sink,
       [&](const CsvRow& row, const char** cls) -> Status {
-        const std::vector<std::string>& f = row.fields;
+        const std::vector<std::string_view>& f = row.fields;
         Result<int64_t> id = ParseInt64(f[0]);
         Result<int64_t> seller = ParseInt64(f[1]);
         Result<int64_t> buyer = ParseInt64(f[2]);
@@ -100,7 +100,7 @@ Result<Ledger> LoadLedgerCsv(const std::string& directory,
             *category >=
                 static_cast<int64_t>(ledger.market.num_categories())) {
           *cls = ingest_error::kDanglingRef;
-          return Status::Corruption("bad category " + f[3]);
+          return Status::Corruption("bad category " + std::string(f[3]));
         }
         if (f[6] != "0" && f[6] != "1") {
           *cls = ingest_error::kBadEnum;

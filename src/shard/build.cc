@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -14,6 +15,7 @@
 #include "io/dataset_csv.h"
 #include "obs/report.h"
 #include "obs/rss.h"
+#include "obs/trace.h"
 #include "shard/gids.h"
 #include "shard/plan.h"
 #include "snapshot/snapshot.h"
@@ -26,17 +28,66 @@ std::string SpillDirOf(const std::string& out_dir, uint32_t shard) {
   return out_dir + StringPrintf("/spill/shard-%05u", shard);
 }
 
-/// Routes verbatim raw rows into per-(shard, table) spill files. Buffers
-/// are flushed with open-append-close so the router never holds more
-/// than one file descriptor per flush regardless of shard count.
+/// One spill file, appended through a buffer that is flushed with
+/// open-append-close, so no descriptor stays open between flushes.
+class SpillFile {
+ public:
+  SpillFile(std::string path, size_t buffer_bytes)
+      : path_(std::move(path)),
+        buffer_bytes_(std::max<size_t>(buffer_bytes, 4096)) {}
+
+  const std::string& path() const { return path_; }
+
+  /// Creates the file empty (or truncates it).
+  Status Create() {
+    std::ofstream file(path_, std::ios::binary | std::ios::trunc);
+    if (!file.good()) return Status::IOError(path_ + ": cannot create spill");
+    return Status::OK();
+  }
+
+  Status Append(std::string_view bytes) {
+    buffer_.append(bytes);
+    if (buffer_.size() >= buffer_bytes_) return Flush();
+    return Status::OK();
+  }
+
+  Status Flush() {
+    if (buffer_.empty()) return Status::OK();
+    std::ofstream file(path_, std::ios::binary | std::ios::app);
+    file.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    file.close();
+    if (!file.good()) return Status::IOError(path_ + ": spill append failed");
+    buffer_.clear();
+    return Status::OK();
+  }
+
+ private:
+  std::string path_;
+  size_t buffer_bytes_;
+  std::string buffer_;
+};
+
+template <typename T>
+std::string_view BytesOf(const T& value) {
+  return std::string_view(reinterpret_cast<const char*>(&value),
+                          sizeof(value));
+}
+
+/// Routes verbatim raw rows into per-(shard, table) spill files.
 class SpillRouter {
  public:
   SpillRouter(const std::string& out_dir, uint32_t num_shards,
               size_t buffer_bytes)
-      : out_dir_(out_dir),
-        num_shards_(num_shards),
-        buffer_bytes_(std::max<size_t>(buffer_bytes, 4096)),
-        buffers_(static_cast<size_t>(num_shards) * kNumDatasetTables) {}
+      : out_dir_(out_dir), num_shards_(num_shards) {
+    files_.reserve(static_cast<size_t>(num_shards) * kNumDatasetTables);
+    for (uint32_t s = 0; s < num_shards; ++s) {
+      for (size_t t = 0; t < kNumDatasetTables; ++t) {
+        files_.emplace_back(SpillDirOf(out_dir, s) + "/" +
+                                DatasetTableFile(static_cast<DatasetTable>(t)),
+                            buffer_bytes);
+      }
+    }
+  }
 
   /// Creates every spill directory with header-only CSV files, so each
   /// one is a loadable dataset even for a shard that receives no rows.
@@ -53,68 +104,100 @@ class SpillRouter {
     return Status::OK();
   }
 
-  Status Append(uint32_t shard, DatasetTable table, const std::string& raw) {
-    std::string& buffer = BufferOf(shard, table);
-    buffer += raw;
-    buffer += '\n';
-    if (buffer.size() >= buffer_bytes_) return Flush(shard, table);
-    return Status::OK();
+  Status Append(uint32_t shard, DatasetTable table, std::string_view raw) {
+    SpillFile& file =
+        files_[shard * kNumDatasetTables + static_cast<size_t>(table)];
+    TPIIN_RETURN_IF_ERROR(file.Append(raw));
+    return file.Append("\n");
   }
 
   Status FlushAll() {
-    for (uint32_t s = 0; s < num_shards_; ++s) {
-      for (size_t t = 0; t < kNumDatasetTables; ++t) {
-        TPIIN_RETURN_IF_ERROR(Flush(s, static_cast<DatasetTable>(t)));
-      }
-    }
+    for (SpillFile& file : files_) TPIIN_RETURN_IF_ERROR(file.Flush());
     return Status::OK();
   }
 
  private:
-  std::string& BufferOf(uint32_t shard, DatasetTable table) {
-    return buffers_[shard * kNumDatasetTables + static_cast<size_t>(table)];
-  }
-
-  Status Flush(uint32_t shard, DatasetTable table) {
-    std::string& buffer = BufferOf(shard, table);
-    if (buffer.empty()) return Status::OK();
-    const std::string path =
-        SpillDirOf(out_dir_, shard) + "/" + DatasetTableFile(table);
-    std::ofstream file(path, std::ios::binary | std::ios::app);
-    file.write(buffer.data(),
-               static_cast<std::streamsize>(buffer.size()));
-    file.close();
-    if (!file.good()) return Status::IOError(path + ": spill append failed");
-    buffer.clear();
-    return Status::OK();
-  }
-
   std::string out_dir_;
   uint32_t num_shards_;
-  size_t buffer_bytes_;
-  std::vector<std::string> buffers_;
+  std::vector<SpillFile> files_;  ///< Per (shard, table).
 };
 
-}  // namespace
-
-Result<ShardManifest> BuildShards(const std::string& data_dir,
-                                  const std::string& out_dir,
-                                  const ShardBuildOptions& options,
-                                  RunReport* report) {
-  if (options.num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be positive");
-  }
-  const uint32_t threads = ResolveThreadCount(options.num_threads);
-  if (report != nullptr) report->set_threads(threads);
+/// Copies the intra-component trades that the planning pass spilled as
+/// (component, length, raw row) records into their shards' trades.csv,
+/// in row order.
+Status RouteIntraTrades(const std::string& path, const ShardPlan& plan,
+                        SpillRouter& router, ShardManifest* manifest) {
   std::error_code ec;
-  std::filesystem::create_directories(out_dir, ec);
-  if (ec) return Status::IOError(out_dir + ": cannot create directory");
+  const uint64_t bytes = std::filesystem::file_size(path, ec);
+  std::ifstream in(path, std::ios::binary);
+  if (ec || !in.is_open()) {
+    return Status::IOError(path + ": cannot reopen spill");
+  }
+  uint64_t rows = 0;
+  uint32_t head[2];
+  std::string raw;
+  while (in.read(reinterpret_cast<char*>(head), sizeof(head))) {
+    if (head[0] >= plan.num_components || head[1] > bytes) {
+      return Status::Corruption(path + ": trade spill damaged");
+    }
+    raw.resize(head[1]);
+    if (!in.read(raw.data(), head[1])) {
+      return Status::Corruption(path + ": trade spill damaged");
+    }
+    const uint32_t shard = plan.component_shard[head[0]];
+    ++manifest->shards[shard].trade_rows;
+    TPIIN_RETURN_IF_ERROR(router.Append(shard, DatasetTable::kTrades, raw));
+    ++rows;
+  }
+  if (in.bad() || in.gcount() != 0 ||
+      rows != plan.trade_rows - plan.cross_trade_rows) {
+    return Status::Corruption(path + ": trade spill damaged");
+  }
+  return Status::OK();
+}
 
-  // --- Pass 1: plan.
+/// Everything of BuildShards after `out_dir` exists; the caller removes
+/// the spill whether this succeeds or fails.
+Result<ShardManifest> BuildThroughSpill(const std::string& data_dir,
+                                        const std::string& out_dir,
+                                        const ShardBuildOptions& options,
+                                        uint32_t threads,
+                                        RunReport* report) {
+  const std::string spill_dir = out_dir + "/spill";
+  std::error_code ec;
+  std::filesystem::create_directories(spill_dir, ec);
+  if (ec) return Status::IOError(spill_dir + ": cannot create directory");
+
+  // --- Pass 1: plan. Its trade scan is the build's only read of
+  // trades.csv: cross-component pairs go to the cross spill as two
+  // global company ids, and intra-component rows go, with their
+  // component, to a side spill that route copies into the shards.
   WallTimer timer;
+  SpillFile cross_spill(spill_dir + "/cross_trades.bin",
+                        options.spill_buffer_bytes);
+  SpillFile intra_spill(spill_dir + "/intra_trades.bin",
+                        options.spill_buffer_bytes);
+  TPIIN_RETURN_IF_ERROR(cross_spill.Create());
+  TPIIN_RETURN_IF_ERROR(intra_spill.Create());
   ShardPlanOptions plan_options;
   plan_options.num_shards = options.num_shards;
+  plan_options.trade_sink = [&](const PlannedTrade& trade) -> Status {
+    if (trade.cross) {
+      const uint32_t pair[2] = {trade.seller, trade.buyer};
+      return cross_spill.Append(BytesOf(pair));
+    }
+    if (trade.raw.size() > UINT32_MAX) {
+      return Status::Corruption("trade row of " +
+                                std::to_string(trade.raw.size()) + " bytes");
+    }
+    const uint32_t head[2] = {trade.component,
+                              static_cast<uint32_t>(trade.raw.size())};
+    TPIIN_RETURN_IF_ERROR(intra_spill.Append(BytesOf(head)));
+    return intra_spill.Append(trade.raw);
+  };
   TPIIN_ASSIGN_OR_RETURN(ShardPlan plan, PlanShards(data_dir, plan_options));
+  TPIIN_RETURN_IF_ERROR(cross_spill.Flush());
+  TPIIN_RETURN_IF_ERROR(intra_spill.Flush());
   if (report != nullptr) report->AddStage("shard_plan", timer.ElapsedSeconds());
 
   ShardManifest manifest;
@@ -130,108 +213,78 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
 
   // --- Pass 2: route raw rows (verbatim — per-shard loads then remap
   // ids in global row order, which is what keeps every shard-local
-  // structure an order-preserving restriction of the global one).
+  // structure an order-preserving restriction of the global one). Each
+  // row first passes LoadDatasetCsv's value checks, so value damage
+  // fails here, at the input table and line, before any shard exists.
   timer.Restart();
-  SpillRouter router(out_dir, options.num_shards,
-                     options.spill_buffer_bytes);
-  TPIIN_RETURN_IF_ERROR(router.Init());
   // Global company ids routed to each shard, in row order: becomes the
   // shard's .gids sidecar and the local->global base of cross dedup.
   std::vector<std::vector<uint32_t>> shard_gids(options.num_shards);
-  std::string cross_buffer;
-  const std::string cross_path = out_dir + "/spill/cross_trades.bin";
   {
-    std::ofstream cross(cross_path, std::ios::binary | std::ios::trunc);
-    if (!cross.good()) {
-      return Status::IOError(cross_path + ": cannot create spill");
-    }
+    TPIIN_SPAN("shard_route");
+    SpillRouter router(out_dir, options.num_shards,
+                       options.spill_buffer_bytes);
+    TPIIN_RETURN_IF_ERROR(router.Init());
+    // The same strict ingest as the planning pass: the two passes must
+    // agree row for row.
+    const IngestOptions strict;
+    LoadReport route_report;
+    IngestSink sink(strict, &route_report);
+    DatasetRowValues values;
+    // Routes each row of `table` to the shard `shard_of(row, cls)`
+    // names.
+    auto route = [&](DatasetTable table, auto shard_of) -> Status {
+      return ScanDatasetTable(
+          data_dir, table, sink,
+          [&](const CsvRow& row, const char** cls) -> Status {
+            TPIIN_ASSIGN_OR_RETURN(uint32_t shard, shard_of(row, cls));
+            TPIIN_RETURN_IF_ERROR(
+                CheckDatasetRowValues(table, row, cls, &values));
+            return router.Append(shard, table, row.raw);
+          });
+    };
+    const EntityIdIndex& persons = plan.person_index;
+    const EntityIdIndex& companies = plan.company_index;
+    uint64_t person_row = 0;
+    TPIIN_RETURN_IF_ERROR(route(
+        DatasetTable::kPersons,
+        [&](const CsvRow&, const char**) -> Result<uint32_t> {
+          const uint32_t shard = plan.ShardOfPersonRow(person_row++);
+          ++manifest.shards[shard].persons;
+          return shard;
+        }));
+    uint32_t company_row = 0;
+    TPIIN_RETURN_IF_ERROR(route(
+        DatasetTable::kCompanies,
+        [&](const CsvRow&, const char**) -> Result<uint32_t> {
+          const uint32_t shard = plan.ShardOfCompanyRow(company_row);
+          ++manifest.shards[shard].companies;
+          shard_gids[shard].push_back(company_row++);
+          return shard;
+        }));
+    // A relation row goes with its first endpoint; plan resolved both.
+    auto by_person = [&](const CsvRow& row,
+                         const char** cls) -> Result<uint32_t> {
+      TPIIN_ASSIGN_OR_RETURN(uint32_t p,
+                             persons.Resolve(row.fields[0], "person", cls));
+      return plan.ShardOfPersonRow(p);
+    };
+    TPIIN_RETURN_IF_ERROR(route(DatasetTable::kInterdependence, by_person));
+    TPIIN_RETURN_IF_ERROR(route(DatasetTable::kInfluence, by_person));
+    TPIIN_RETURN_IF_ERROR(route(
+        DatasetTable::kInvestment,
+        [&](const CsvRow& row, const char** cls) -> Result<uint32_t> {
+          TPIIN_ASSIGN_OR_RETURN(
+              uint32_t c, companies.Resolve(row.fields[0], "company", cls));
+          return plan.ShardOfCompanyRow(c);
+        }));
+    // Cross-component trades cannot be suspicious (no common antecedent)
+    // and are never routed; only their deduplicated arc count is owed to
+    // the merged report.
+    TPIIN_RETURN_IF_ERROR(
+        RouteIntraTrades(intra_spill.path(), plan, router, &manifest));
+    TPIIN_RETURN_IF_ERROR(router.FlushAll());
   }
-  auto flush_cross = [&]() -> Status {
-    if (cross_buffer.empty()) return Status::OK();
-    std::ofstream cross(cross_path, std::ios::binary | std::ios::app);
-    cross.write(cross_buffer.data(),
-                static_cast<std::streamsize>(cross_buffer.size()));
-    cross.close();
-    if (!cross.good()) {
-      return Status::IOError(cross_path + ": spill append failed");
-    }
-    cross_buffer.clear();
-    return Status::OK();
-  };
-
-  // The same strict ingest as the planning pass, resolving ids only:
-  // the two passes must agree row for row.
-  const IngestOptions strict;
-  LoadReport route_report;
-  IngestSink sink(strict, &route_report);
-  uint64_t person_row = 0;
-  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
-      data_dir, DatasetTable::kPersons, sink,
-      [&](const CsvRow& row, const char**) -> Status {
-        const uint32_t shard = plan.ShardOfPersonRow(person_row++);
-        ++manifest.shards[shard].persons;
-        return router.Append(shard, DatasetTable::kPersons, row.raw);
-      }));
-  uint32_t company_row = 0;
-  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
-      data_dir, DatasetTable::kCompanies, sink,
-      [&](const CsvRow& row, const char**) -> Status {
-        const uint32_t shard = plan.ShardOfCompanyRow(company_row);
-        ++manifest.shards[shard].companies;
-        shard_gids[shard].push_back(company_row++);
-        return router.Append(shard, DatasetTable::kCompanies, row.raw);
-      }));
-  const EntityIdIndex& persons = plan.person_index;
-  const EntityIdIndex& companies = plan.company_index;
-  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
-      data_dir, DatasetTable::kInterdependence, sink,
-      [&](const CsvRow& row, const char** cls) -> Status {
-        TPIIN_ASSIGN_OR_RETURN(uint32_t a,
-                               persons.Resolve(row.fields[0], "person", cls));
-        return router.Append(plan.ShardOfPersonRow(a),
-                             DatasetTable::kInterdependence, row.raw);
-      }));
-  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
-      data_dir, DatasetTable::kInfluence, sink,
-      [&](const CsvRow& row, const char** cls) -> Status {
-        TPIIN_ASSIGN_OR_RETURN(uint32_t p,
-                               persons.Resolve(row.fields[0], "person", cls));
-        return router.Append(plan.ShardOfPersonRow(p),
-                             DatasetTable::kInfluence, row.raw);
-      }));
-  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
-      data_dir, DatasetTable::kInvestment, sink,
-      [&](const CsvRow& row, const char** cls) -> Status {
-        TPIIN_ASSIGN_OR_RETURN(
-            uint32_t a, companies.Resolve(row.fields[0], "company", cls));
-        return router.Append(plan.ShardOfCompanyRow(a),
-                             DatasetTable::kInvestment, row.raw);
-      }));
-  TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
-      data_dir, DatasetTable::kTrades, sink,
-      [&](const CsvRow& row, const char** cls) -> Status {
-        TPIIN_ASSIGN_OR_RETURN(
-            uint32_t s, companies.Resolve(row.fields[0], "company", cls));
-        TPIIN_ASSIGN_OR_RETURN(
-            uint32_t b, companies.Resolve(row.fields[1], "company", cls));
-        if (plan.company_component[s] == plan.company_component[b]) {
-          const uint32_t shard = plan.ShardOfCompanyRow(s);
-          ++manifest.shards[shard].trade_rows;
-          return router.Append(shard, DatasetTable::kTrades, row.raw);
-        }
-        // Cross-component: cannot be suspicious (no common antecedent)
-        // and is never routed; only its deduplicated arc count is owed to
-        // the merged report.
-        const uint32_t pair[2] = {s, b};
-        cross_buffer.append(reinterpret_cast<const char*>(pair),
-                            sizeof(pair));
-        if (cross_buffer.size() >= options.spill_buffer_bytes) {
-          return flush_cross();
-        }
-        return Status::OK();
-      }));
-  TPIIN_RETURN_IF_ERROR(router.FlushAll());
-  TPIIN_RETURN_IF_ERROR(flush_cross());
   if (report != nullptr) {
     report->AddStage("shard_route", timer.ElapsedSeconds());
   }
@@ -293,6 +346,7 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
 
   // --- Cross-trade dedup at node granularity.
   {
+    const std::string& cross_path = cross_spill.path();
     std::ifstream cross(cross_path, std::ios::binary);
     if (!cross.is_open()) {
       return Status::IOError(cross_path + ": cannot reopen spill");
@@ -318,9 +372,6 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
   // "no sharded build here" rather than a torn one.
   TPIIN_RETURN_IF_ERROR(
       WriteShardManifest(out_dir + "/" + kShardManifestName, manifest));
-  if (!options.keep_spill) {
-    std::filesystem::remove_all(out_dir + "/spill", ec);
-  }
   if (report != nullptr) {
     report->AddStage("shard_fuse", timer.ElapsedSeconds());
     ReportSection& section = report->Section("shard");
@@ -337,6 +388,28 @@ Result<ShardManifest> BuildShards(const std::string& data_dir,
     for (uint64_t w : plan.shard_weight) max_weight = std::max(max_weight, w);
     section.Set("max_shard_weight", static_cast<int64_t>(max_weight));
   }
+  return manifest;
+}
+
+}  // namespace
+
+Result<ShardManifest> BuildShards(const std::string& data_dir,
+                                  const std::string& out_dir,
+                                  const ShardBuildOptions& options,
+                                  RunReport* report) {
+  if (options.num_shards == 0) {
+    return Status::InvalidArgument("num_shards must be positive");
+  }
+  const uint32_t threads = ResolveThreadCount(options.num_threads);
+  if (report != nullptr) report->set_threads(threads);
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  if (ec) return Status::IOError(out_dir + ": cannot create directory");
+  Result<ShardManifest> manifest =
+      BuildThroughSpill(data_dir, out_dir, options, threads, report);
+  // The spill holds about a copy of the input: it goes once the manifest
+  // commits, and on every failure too.
+  if (!options.keep_spill) std::filesystem::remove_all(out_dir + "/spill", ec);
   return manifest;
 }
 

@@ -21,8 +21,9 @@ struct ShardBuildOptions {
   /// values bound router memory at high shard counts; large values cut
   /// open/append/close churn.
   size_t spill_buffer_bytes = 1 << 20;
-  /// Keep the routed per-shard CSV spill directories after the build
-  /// (debugging; they are normally deleted once the manifest commits).
+  /// Keep `<out>/spill/` (the routed per-shard CSV datasets and the
+  /// trade spills) after the build, whether it succeeds or fails
+  /// (debugging; it is normally deleted either way).
   bool keep_spill = false;
   /// Precompute each shard snapshot's segmentation index.
   bool include_wcc_index = true;
@@ -30,10 +31,11 @@ struct ShardBuildOptions {
 
 /// Builds a sharded TPIIN out of the CSV dataset in `data_dir` without
 /// ever materializing the whole population: pass 1 plans (streaming
-/// union-find, see PlanShards), pass 2 routes raw rows verbatim into
-/// per-shard spill datasets, then each shard is loaded, fused, and
-/// written as a PR 5 snapshot one at a time — peak memory is
-/// O(entities + largest shard), not O(dataset).
+/// union-find, see PlanShards) and spills the trades as it reads them,
+/// pass 2 checks the values of every other row and routes raw rows
+/// verbatim into per-shard spill datasets, then each shard is loaded,
+/// fused, and written as a PR 5 snapshot one at a time — peak memory is
+/// O(entities + largest shard), not O(dataset). trades.csv is read once.
 ///
 /// Output layout under `out_dir`:
 ///   part-00000.tpiin ...   per-shard snapshots (empty shards omitted)

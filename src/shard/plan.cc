@@ -7,11 +7,13 @@
 #include "common/failpoint.h"
 #include "graph/union_find.h"
 #include "io/dataset_csv.h"
+#include "obs/trace.h"
 
 namespace tpiin {
 
 Result<ShardPlan> PlanShards(const std::string& data_dir,
                              const ShardPlanOptions& options) {
+  TPIIN_SPAN("shard_plan");
   TPIIN_FAILPOINT("shard.plan.scan");
   if (options.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be positive");
@@ -108,23 +110,28 @@ Result<ShardPlan> PlanShards(const std::string& data_dir,
   entity_rows.shrink_to_fit();
 
   // --- Trading layer: intra-component rows add weight to their
-  // component; cross-component rows are only counted.
+  // component; cross-component rows are only counted. Both go to the
+  // trade sink.
   TPIIN_RETURN_IF_ERROR(ScanDatasetTable(
       data_dir, DatasetTable::kTrades, sink,
       [&](const CsvRow& row, const char** cls) -> Status {
+        PlannedTrade trade;
         TPIIN_ASSIGN_OR_RETURN(
-            uint32_t s, companies.Resolve(row.fields[0], "company", cls));
+            trade.seller, companies.Resolve(row.fields[0], "company", cls));
         TPIIN_ASSIGN_OR_RETURN(
-            uint32_t b, companies.Resolve(row.fields[1], "company", cls));
+            trade.buyer, companies.Resolve(row.fields[1], "company", cls));
         ++plan.trade_rows;
-        const uint32_t comp_s = component_of[person_count + s];
-        const uint32_t comp_b = component_of[person_count + b];
-        if (comp_s == comp_b) {
-          ++component_weight[comp_s];
-        } else {
+        trade.component = component_of[person_count + trade.seller];
+        trade.cross =
+            trade.component != component_of[person_count + trade.buyer];
+        if (trade.cross) {
           ++plan.cross_trade_rows;
+        } else {
+          ++component_weight[trade.component];
         }
-        return Status::OK();
+        if (!options.trade_sink) return Status::OK();
+        trade.raw = row.raw;
+        return options.trade_sink(trade);
       }));
 
   // --- Greedy balance: heaviest component first onto the least-loaded

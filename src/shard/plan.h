@@ -2,7 +2,9 @@
 #define TPIIN_SHARD_PLAN_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -10,8 +12,23 @@
 
 namespace tpiin {
 
+/// One trades.csv row as the planning pass resolved it.
+struct PlannedTrade {
+  std::string_view raw;  ///< The row as read; valid during the call only.
+  uint32_t seller = 0;   ///< Dense company index.
+  uint32_t buyer = 0;    ///< Dense company index.
+  /// The endpoints lie in different antecedent components.
+  bool cross = false;
+  /// The seller's component (the buyer's too, unless `cross`).
+  uint32_t component = 0;
+};
+
 struct ShardPlanOptions {
   uint32_t num_shards = 1;
+  /// Optional: receives every trades.csv row in row order, as the trade
+  /// scan resolves it, so a shard build reads trades.csv only once.
+  /// Without it the rows are only counted.
+  std::function<Status(const PlannedTrade&)> trade_sink = nullptr;
 };
 
 /// The out-of-core partition decision: every antecedent weakly connected
@@ -60,10 +77,11 @@ struct ShardPlan {
 /// (strict ingest that resolves ids only — shard building wants clean
 /// input; run the hardened single-process loader to triage a damaged
 /// extract; errors name the table and line), unions persons
-/// and companies over interdependence/influence/investment rows, and
-/// balances the resulting components across `options.num_shards` shards
-/// by descending row weight. Peak memory is O(entities), independent of
-/// the relation and trading row counts.
+/// and companies over interdependence/influence/investment rows, hands
+/// each trade to `options.trade_sink`, and balances the resulting
+/// components across `options.num_shards` shards by descending row
+/// weight. Peak memory is O(entities), independent of the relation and
+/// trading row counts.
 Result<ShardPlan> PlanShards(const std::string& data_dir,
                              const ShardPlanOptions& options);
 

@@ -102,6 +102,62 @@ TEST_F(ShardFailpointTest, FuseCrashLeavesPriorShardsValidAndNoManifest) {
   EXPECT_TRUE(MergeShards(shard_dir_, dir_ + "/merged.txt").ok());
 }
 
+// A failed build removes <out>/spill/ (about a copy of the input) unless
+// keep_spill asks for it, whether it fails in route or in a per-shard
+// load.
+TEST_F(ShardFailpointTest, FailedBuildRemovesSpillUnlessKept) {
+  const std::string spill = shard_dir_ + "/spill";
+  const std::string persons = data_dir_ + "/persons.csv";
+  const std::string clean_persons = Slurp(persons);
+  for (bool keep_spill : {false, true}) {
+    SCOPED_TRACE(keep_spill ? "keep_spill" : "default");
+    build_.keep_spill = keep_spill;
+
+    // Route: a roles mask out of range on the last person row.
+    std::string damaged = clean_persons;
+    damaged.replace(damaged.rfind(',') + 1, std::string::npos, "999\n");
+    {
+      std::ofstream out(persons, std::ios::binary | std::ios::trunc);
+      out << damaged;
+    }
+    std::filesystem::remove_all(shard_dir_);
+    Result<ShardManifest> manifest =
+        BuildShards(data_dir_, shard_dir_, build_);
+    ASSERT_FALSE(manifest.ok());
+    EXPECT_NE(manifest.status().message().find("bad roles mask 999"),
+              std::string::npos)
+        << manifest.status().ToString();
+    EXPECT_EQ(std::filesystem::exists(spill), keep_spill);
+    {
+      std::ofstream out(persons, std::ios::binary | std::ios::trunc);
+      out << clean_persons;
+    }
+
+    // Per-shard load: the second shard's fuse fails.
+    std::filesystem::remove_all(shard_dir_);
+    ASSERT_TRUE(Failpoints::Configure("shard.fuse:error@2").ok());
+    manifest = BuildShards(data_dir_, shard_dir_, build_);
+    Failpoints::Clear();
+    ASSERT_FALSE(manifest.ok());
+    EXPECT_TRUE(std::filesystem::exists(shard_dir_ + "/part-00000.tpiin"));
+    EXPECT_EQ(std::filesystem::exists(spill), keep_spill);
+  }
+}
+
+// The trade scan of the plan is the build's only read of trades.csv:
+// plan opens the six input tables, route the five others, and each
+// populated shard's load its six spill tables.
+TEST_F(ShardFailpointTest, BuildOpensEachInputTableOncePerPass) {
+  // A rule on an unrelated site turns on hit counting.
+  ASSERT_TRUE(Failpoints::Configure("shard.merge:off").ok());
+  Result<ShardManifest> manifest =
+      BuildShards(data_dir_, shard_dir_, build_);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  uint64_t populated = 0;
+  for (const ShardEntry& entry : manifest->shards) populated += !entry.empty;
+  EXPECT_EQ(Failpoints::HitCount("io.csv.open"), 6 + 5 + 6 * populated);
+}
+
 TEST_F(ShardFailpointTest, ManifestWriteFaultLeavesNoManifest) {
   ASSERT_TRUE(Failpoints::Configure("shard.manifest.write:ioerror").ok());
   Result<ShardManifest> manifest =

@@ -142,48 +142,65 @@ TEST_F(ShardPlanTest, MissingTableFails) {
 }
 
 // Row damage must fail a sharded build at the input table and line, as
-// the single-process loader reports it, before any shard is written.
+// the single-process loader reports it, before any shard is written, and
+// leave no spill behind. Id damage fails in plan, value damage in route.
 TEST_F(ShardPlanTest, DamagedRowFailsBuildAtInputTableAndLine) {
   struct Damage {
     const char* table;
     size_t line;  // 1-based; line 1 is the header.
     std::string replacement;
+    const char* error;
   };
   const Damage damages[] = {
-      {"persons.csv", 4, "2,\"L0002,1"},  // Unterminated quote.
-      {"companies.csv", 10, "7,C0008"},   // Duplicate id 7.
-      {"companies.csv", 5, "3," + std::string(70000, 'x')},  // Oversized.
+      {"persons.csv", 4, "2,\"L0002,1", "unterminated CSV quote"},
+      {"companies.csv", 10, "7,C0008", "duplicate company id 7"},
+      {"companies.csv", 5, "3," + std::string(70000, 'x'),
+       "exceeds limit"},
+      {"persons.csv", 30, "28,L0028,999", "bad roles mask 999"},
+      {"interdependence.csv", 2, "0,1,cousin",
+       "bad interdependence kind cousin"},
+      {"influence.csv", 3, "0,0,7,0", "bad influence kind 7"},
+      {"influence.csv", 4, "0,0,1,2", "bad legal_person flag 2"},
+      {"investment.csv", 2, "0,1,abc", "bad share abc"},
+      {"companies.csv", 6, "4,C\xff\xfe", "name is not valid UTF-8"},
   };
   ProvinceConfig config = SmallProvinceConfig(60, /*seed=*/3);
   Result<Province> province = GenerateProvince(config);
   ASSERT_TRUE(province.ok()) << province.status().ToString();
   for (const Damage& damage : damages) {
+    SCOPED_TRACE(std::string(damage.table) + ":" +
+                 std::to_string(damage.line));
     ASSERT_TRUE(SaveDatasetCsv(dir_, province->dataset).ok());
     const std::string path = dir_ + "/" + damage.table;
     std::ifstream in(path);
     std::ostringstream damaged;
     std::string line;
-    for (size_t n = 1; std::getline(in, line); ++n) {
-      damaged << (n == damage.line ? damage.replacement : line) << "\n";
+    size_t lines = 0;
+    while (std::getline(in, line)) {
+      ++lines;
+      damaged << (lines == damage.line ? damage.replacement : line) << "\n";
     }
     in.close();
+    ASSERT_GE(lines, damage.line);
     WriteTable(damage.table, damaged.str());
 
     const std::string out_dir = dir_ + "/shards";
     std::filesystem::remove_all(out_dir);
     Result<ShardManifest> manifest =
         BuildShards(dir_, out_dir, {.num_shards = 4});
-    ASSERT_FALSE(manifest.ok()) << damage.table << ":" << damage.line;
+    ASSERT_FALSE(manifest.ok());
     const std::string message = manifest.status().ToString();
     EXPECT_TRUE(manifest.status().IsCorruption()) << message;
     EXPECT_NE(message.find(path + ":" + std::to_string(damage.line) + ":"),
               std::string::npos)
         << message;
+    EXPECT_NE(message.find(damage.error), std::string::npos) << message;
     EXPECT_EQ(message.find("spill"), std::string::npos) << message;
     for (const auto& entry : std::filesystem::directory_iterator(out_dir)) {
       EXPECT_NE(entry.path().filename().string().rfind("part-", 0), 0u)
           << entry.path();
     }
+    EXPECT_FALSE(std::filesystem::exists(out_dir + "/spill"));
   }
 }
 
