@@ -104,9 +104,7 @@ int Run(BenchJsonWriter& json, BenchNetSource& source) {
 
     timer.Restart();
     SubTpiin whole = WholeAsSubTpiin(net);
-    PatternGenOptions gen_options;
-    gen_options.emit_trails = false;
-    Result<PatternGenResult> gen = GeneratePatternBase(whole, gen_options);
+    Result<PatternGenResult> gen = GeneratePatternBase(whole);
     TPIIN_CHECK(gen.ok());
     MatchOptions match_options;
     match_options.collect_groups = false;
@@ -125,18 +123,24 @@ int Run(BenchJsonWriter& json, BenchNetSource& source) {
     json.Record("ablation_a2", "unsegmented", without_s);
   }
 
-  // --- A3: prefix sharing in the patterns tree.
+  // --- A3: prefix sharing in the patterns tree. A component pattern
+  // ending at tree depth d has d + 1 trail elements (a trade leaf's
+  // d-node influence path plus its trade target), and a parent precedes
+  // its children, so one forward pass computes every depth.
   {
     size_t tree_nodes = 0;
     size_t trail_elements = 0;
-    PatternGenOptions gen_options;
-    gen_options.build_tree = true;
+    std::vector<uint32_t> depth;
     for (const SubTpiin& sub : SegmentTpiin(net)) {
-      Result<PatternGenResult> gen = GeneratePatternBase(sub, gen_options);
+      Result<PatternGenResult> gen = GeneratePatternBase(sub);
       TPIIN_CHECK(gen.ok());
-      tree_nodes += gen->tree.nodes.size();
-      for (const auto& trail : gen->base) {
-        trail_elements += trail.nodes.size() + (trail.has_trade() ? 1 : 0);
+      const PatternsTree& tree = gen->tree;
+      tree_nodes += tree.nodes.size();
+      depth.assign(tree.nodes.size(), 0);
+      for (int32_t i = 0; i < static_cast<int32_t>(tree.nodes.size()); ++i) {
+        const int32_t parent = tree.nodes[i].parent;
+        if (parent >= 0) depth[i] = depth[parent] + 1;
+        if (tree.EndsPattern(sub, i)) trail_elements += depth[i] + 1;
       }
     }
     std::printf(
@@ -149,42 +153,6 @@ int Run(BenchJsonWriter& json, BenchNetSource& source) {
                 tree_nodes
                     ? static_cast<double>(trail_elements) / tree_nodes
                     : 0.0);
-  }
-
-  // --- A4': tree-driven vs flat-base matching (the patterns tree's
-  // payoff beyond prefix storage: partner lookups without prefix
-  // re-deduplication).
-  {
-    std::vector<SubTpiin> subs = SegmentTpiin(net);
-    std::vector<PatternGenResult> gens;
-    for (const SubTpiin& sub : subs) {
-      Result<PatternGenResult> gen = GeneratePatternBase(sub);
-      TPIIN_CHECK(gen.ok());
-      gens.push_back(std::move(gen).value());
-    }
-    MatchOptions match_options;
-    match_options.collect_groups = false;
-    WallTimer timer;
-    size_t tree_groups = 0;
-    for (size_t i = 0; i < subs.size(); ++i) {
-      MatchResult m = MatchPatternsTree(subs[i], gens[i].tree, match_options);
-      tree_groups += m.num_simple + m.num_complex;
-    }
-    double tree_s = timer.ElapsedSeconds();
-    timer.Restart();
-    size_t base_groups = 0;
-    for (size_t i = 0; i < subs.size(); ++i) {
-      MatchResult m = MatchPatterns(subs[i], gens[i].base, match_options);
-      base_groups += m.num_simple + m.num_complex;
-    }
-    double base_s = timer.ElapsedSeconds();
-    TPIIN_CHECK_EQ(tree_groups, base_groups);
-    std::printf(
-        "A4' matching formulation: tree-driven %.3fs vs flat-base %.3fs "
-        "(identical %zu groups)\n",
-        tree_s, base_s, tree_groups);
-    json.Record("ablation_a4_match", "tree", tree_s);
-    json.Record("ablation_a4_match", "flat_base", base_s);
   }
 
   // --- A5: parallel per-subTPIIN processing (§7 future work). The unit

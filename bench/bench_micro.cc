@@ -161,7 +161,7 @@ void BM_SegmentTpiin(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentTpiin)->Arg(2)->Arg(20);
 
-// Algorithm 2 over every subTPIIN of the province.
+// Algorithm 2 (the patterns tree) over every subTPIIN of the province.
 void BM_GeneratePatternBase(benchmark::State& state) {
   const Fixture& fixture = GetFixture(ArgToProb(state.range(0)));
   std::vector<SubTpiin> subs = SegmentTpiin(fixture.net());
@@ -170,34 +170,12 @@ void BM_GeneratePatternBase(benchmark::State& state) {
     for (const SubTpiin& sub : subs) {
       Result<PatternGenResult> gen = GeneratePatternBase(sub);
       TPIIN_CHECK(gen.ok());
-      trails += gen->base.size();
+      trails += gen->num_trails;
     }
     benchmark::DoNotOptimize(trails);
   }
 }
 BENCHMARK(BM_GeneratePatternBase)->Arg(2)->Arg(20);
-
-void BM_MatchPatterns(benchmark::State& state) {
-  const Fixture& fixture = GetFixture(ArgToProb(state.range(0)));
-  std::vector<SubTpiin> subs = SegmentTpiin(fixture.net());
-  std::vector<PatternBase> bases;
-  for (const SubTpiin& sub : subs) {
-    Result<PatternGenResult> gen = GeneratePatternBase(sub);
-    TPIIN_CHECK(gen.ok());
-    bases.push_back(std::move(gen->base));
-  }
-  MatchOptions options;
-  options.collect_groups = false;
-  for (auto _ : state) {
-    size_t groups = 0;
-    for (size_t i = 0; i < subs.size(); ++i) {
-      MatchResult match = MatchPatterns(subs[i], bases[i], options);
-      groups += match.num_simple + match.num_complex;
-    }
-    benchmark::DoNotOptimize(groups);
-  }
-}
-BENCHMARK(BM_MatchPatterns)->Arg(2)->Arg(20);
 
 void BM_DetectEndToEnd(benchmark::State& state) {
   const Fixture& fixture = GetFixture(ArgToProb(state.range(0)));
@@ -216,7 +194,7 @@ BENCHMARK(BM_DetectEndToEnd)->Arg(2)->Arg(20);
 // over and over (range(1) = 1 routes generation storage through a
 // persistent ArenaPool, 0 allocates fresh buffers per call, the seed
 // behavior). After the first iteration warms the pool every subTPIIN's
-// PatternBase/tree lands in a recycled buffer, so the steady-state delta
+// patterns tree lands in a recycled buffer, so the steady-state delta
 // between the two rows is the allocator traffic Algorithm 2 no longer
 // pays. Results are identical with or without the pool.
 void BM_DetectArenaReuse(benchmark::State& state) {

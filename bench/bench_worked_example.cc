@@ -64,15 +64,13 @@ int Run(BenchJsonWriter& json, BenchNetSource& source) {
                 entry.in_degree, entry.out_degree);
   }
 
-  PatternGenOptions gen_options;
-  gen_options.build_tree = true;
-  Result<PatternGenResult> gen = GeneratePatternBase(sub, gen_options);
+  Result<PatternGenResult> gen = GeneratePatternBase(sub);
   TPIIN_CHECK(gen.ok()) << gen.status().ToString();
 
   std::printf("\nFig. 9(b) patterns tree:\n%s",
               gen->tree.ToString(sub).c_str());
   std::printf("\nFig. 10 potential component patterns base:\n%s",
-              FormatPatternBase(sub, gen->base).c_str());
+              FormatPatternBase(sub, gen->tree).c_str());
 
   WallTimer detect_timer;
   Result<DetectionResult> result = DetectSuspiciousGroups(net);

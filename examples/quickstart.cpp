@@ -39,8 +39,8 @@ int main() {
     Result<PatternGenResult> gen = GeneratePatternBase(sub);
     TPIIN_CHECK(gen.ok()) << gen.status().ToString();
     std::printf("Potential component patterns base (%zu trails):\n%s\n",
-                gen->base.size(),
-                FormatPatternBase(sub, gen->base).c_str());
+                gen->num_trails,
+                FormatPatternBase(sub, gen->tree).c_str());
   }
 
   // 4. Run Algorithm 1 end to end.

@@ -13,28 +13,28 @@ ArenaPool::Shard& ArenaPool::LocalShard() {
   return shards_[h % kNumShards];
 }
 
-PatternScratch ArenaPool::Acquire() {
+PatternsTree ArenaPool::Acquire() {
   acquires_.fetch_add(1, std::memory_order_relaxed);
   TPIIN_COUNTER_ADD("arena.acquires", 1);
   Shard& shard = LocalShard();
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     if (!shard.free_list.empty()) {
-      PatternScratch scratch = std::move(shard.free_list.back());
+      PatternsTree tree = std::move(shard.free_list.back());
       shard.free_list.pop_back();
       hits_.fetch_add(1, std::memory_order_relaxed);
       TPIIN_COUNTER_ADD("arena.hits", 1);
-      return scratch;
+      return tree;
     }
   }
   TPIIN_COUNTER_ADD("arena.misses", 1);
-  return PatternScratch{};
+  return PatternsTree{};
 }
 
-void ArenaPool::Release(PatternScratch scratch) {
+void ArenaPool::Release(PatternsTree tree) {
   Shard& shard = LocalShard();
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.free_list.push_back(std::move(scratch));
+  shard.free_list.push_back(std::move(tree));
 }
 
 }  // namespace tpiin

@@ -11,11 +11,10 @@
 
 namespace tpiin {
 
-/// A recycling pool of PatternScratch buffers (PatternBase arena +
-/// PatternsTree storage) for serving-style workloads that call
-/// DetectSuspiciousGroups repeatedly: after a warm-up run the pool holds
-/// one grown buffer per worker, so subsequent runs generate every
-/// pattern base into retained capacity instead of reallocating.
+/// A recycling pool of PatternsTree buffers for serving-style workloads
+/// that call DetectSuspiciousGroups repeatedly: after a warm-up run the
+/// pool holds one grown tree per worker, so subsequent runs generate
+/// every patterns tree into retained capacity instead of reallocating.
 ///
 /// The pool is sharded by calling thread: each shard is a mutex-guarded
 /// free list selected by a hash of the thread id, so a pool worker's
@@ -35,12 +34,12 @@ class ArenaPool {
 
   /// Pops a recycled buffer from the calling thread's shard, or
   /// default-constructs one on a pool miss.
-  PatternScratch Acquire();
+  PatternsTree Acquire();
 
   /// Returns a buffer to the calling thread's shard for reuse. The
   /// buffer need not be cleared; the next generation run clears it
   /// (keeping capacity).
-  void Release(PatternScratch scratch);
+  void Release(PatternsTree tree);
 
   /// Total Acquire calls, and how many of them were served from a free
   /// list. A warmed-up serving loop converges to hits == acquires.
@@ -54,7 +53,7 @@ class ArenaPool {
  private:
   struct alignas(64) Shard {
     std::mutex mu;
-    std::vector<PatternScratch> free_list;
+    std::vector<PatternsTree> free_list;
   };
 
   Shard& LocalShard();

@@ -149,13 +149,10 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
     }
     const SubTpiin& sub = subs[index];
     PatternGenOptions gen_options;
-    // Mining runs off the patterns tree alone; a caller that wants the
-    // flat trail base (the Fig. 10 artifact) calls GeneratePatternBase.
-    gen_options.emit_trails = false;
     gen_options.max_trails = options.max_trails_per_subtpiin;
     gen_options.deadline = Deadline::Sooner(
         run_deadline, Deadline::After(options.budget.sub_slice_seconds));
-    PatternScratch scratch;
+    PatternsTree scratch;
     if (options.arena_pool != nullptr) {
       scratch = options.arena_pool->Acquire();
       gen_options.scratch = &scratch;
@@ -175,12 +172,10 @@ Result<DetectionResult> DetectSuspiciousGroups(const Tpiin& net,
       outcome.match = MatchPatternsTree(sub, gen->tree, options.match);
     }
     if (options.arena_pool != nullptr) {
-      // Matching consumed the tree and nothing retains the base, so the
-      // grown buffers go straight back to the pool for the next
-      // subTPIIN (or the next detection run).
-      scratch.base = std::move(gen->base);
-      scratch.tree = std::move(gen->tree);
-      options.arena_pool->Release(std::move(scratch));
+      // Matching consumed the tree, so its grown buffers go straight
+      // back to the pool for the next subTPIIN (or the next detection
+      // run).
+      options.arena_pool->Release(std::move(gen->tree));
     }
     return Status::OK();
   };

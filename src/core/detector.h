@@ -91,8 +91,8 @@ struct DetectorOptions {
   uint32_t num_threads = 1;
 
   /// Optional caller-owned buffer pool (core/arena_pool.h), sized by the
-  /// previous run: each worker acquires a recycled PatternBase/tree
-  /// buffer per subTPIIN and releases it after matching, so repeated
+  /// previous run: each worker acquires a recycled patterns tree per
+  /// subTPIIN and releases it after matching, so repeated
   /// DetectSuspiciousGroups calls — the serving-style workload — stop
   /// reallocating generation storage. Must outlive the call; safe to
   /// share across concurrent calls. Results are identical with or

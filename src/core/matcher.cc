@@ -5,15 +5,14 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/logging.h"
 #include "core/pattern_tree.h"
 
 namespace tpiin {
 
 namespace {
 
-// FNV-1a style hash over a node sequence, used to bucket prefix vectors;
-// equality is exact (vector ==), so collisions only cost time.
+// FNV-1a style hash over a node sequence, used to bucket in-trail
+// circles; equality is exact (vector ==), so collisions only cost time.
 struct NodeVecHash {
   size_t operator()(const std::vector<NodeId>& v) const {
     uint64_t h = 1469598103934665603ULL;
@@ -97,120 +96,6 @@ std::string SuspiciousGroup::Format(const Tpiin& net) const {
   if (from_cycle) out += " [circle]";
   out += is_simple ? " [simple]" : " [complex]";
   return out;
-}
-
-MatchResult MatchPatterns(const SubTpiin& sub, const PatternBase& base,
-                          const MatchOptions& options) {
-  MatchResult result;
-  const NodeId n = sub.frozen.NumNodes();
-
-  // Trails grouped by antecedent root. Trails are emitted root by root,
-  // so the groups are contiguous runs, but we do not rely on that.
-  std::unordered_map<NodeId, std::vector<size_t>> family_of_root;
-  for (size_t i = 0; i < base.size(); ++i) {
-    TPIIN_CHECK(!base[i].nodes.empty());
-    family_of_root[base[i].nodes[0]].push_back(i);
-  }
-
-  std::unordered_set<ArcId> suspicious_local_arcs;
-  std::unordered_set<std::vector<NodeId>, NodeVecHash> seen_cycles;
-  std::vector<uint8_t> in_trade_trail(n, 0);
-
-  auto over_budget = [&]() {
-    return options.max_groups != 0 &&
-           result.num_simple + result.num_complex + result.num_cycle_groups >=
-               options.max_groups;
-  };
-
-  for (const auto& [root, family] : family_of_root) {
-    if (over_budget()) break;
-    // Occurrence index of this family: element node -> (trail, position).
-    std::unordered_map<NodeId, std::vector<std::pair<size_t, uint32_t>>>
-        occurrences;
-    for (size_t idx : family) {
-      std::span<const NodeId> nodes = base[idx].nodes;
-      for (uint32_t pos = 0; pos < nodes.size(); ++pos) {
-        occurrences[nodes[pos]].emplace_back(idx, pos);
-      }
-    }
-
-    for (size_t t_idx : family) {
-      const PatternBase::TrailView t = base[t_idx];
-      if (!t.has_trade()) continue;
-      if (over_budget()) break;
-      const NodeId cj = t.trade_dst;
-
-      // Mark π1's interior nodes once for the simple/complex test.
-      for (size_t i = 1; i < t.nodes.size(); ++i) in_trade_trail[t.nodes[i]] = 1;
-
-      auto occ_it = occurrences.find(cj);
-      if (occ_it != occurrences.end()) {
-        // Deduplicate partner prefixes: distinct trails often share the
-        // same path to Cj.
-        std::unordered_set<std::vector<NodeId>, NodeVecHash> seen_prefixes;
-        for (const auto& [t2_idx, pos] : occ_it->second) {
-          if (over_budget()) break;
-          const PatternBase::TrailView t2 = base[t2_idx];
-          std::vector<NodeId> prefix(t2.nodes.begin(),
-                                     t2.nodes.begin() + pos + 1);
-          if (!seen_prefixes.insert(prefix).second) continue;
-
-          // Definition 3 test: any interior node of the partner trail
-          // (excluding antecedent and end) shared with π1 => complex.
-          bool is_simple = true;
-          for (size_t i = 1; i + 1 < prefix.size(); ++i) {
-            if (in_trade_trail[prefix[i]]) {
-              is_simple = false;
-              break;
-            }
-          }
-          if (is_simple) {
-            ++result.num_simple;
-          } else {
-            ++result.num_complex;
-          }
-          suspicious_local_arcs.insert(t.trade_arc);
-
-          if (options.collect_groups) {
-            result.groups.push_back(
-                BuildPairGroup(sub, t.nodes, cj, prefix, is_simple));
-          }
-        }
-      }
-
-      for (size_t i = 1; i < t.nodes.size(); ++i) in_trade_trail[t.nodes[i]] = 0;
-
-      // In-trail circle special case (§4.3): the trade target re-enters
-      // the walk's own element list, e.g. {A1, C4, C5, -> C4}. The circle
-      // {C4, C5 -> C4} is itself a simple suspicious group anchored at
-      // C4. Deduplicated globally by its node cycle.
-      if (options.detect_cycles) {
-        for (uint32_t pos = 0; pos < t.nodes.size(); ++pos) {
-          if (t.nodes[pos] != cj) continue;
-          std::vector<NodeId> suffix(t.nodes.begin() + pos, t.nodes.end());
-          std::vector<NodeId> key = suffix;
-          key.push_back(cj);
-          if (seen_cycles.insert(key).second && !over_budget()) {
-            ++result.num_cycle_groups;
-            suspicious_local_arcs.insert(t.trade_arc);
-            if (options.collect_groups) {
-              result.groups.push_back(BuildCycleGroup(sub, suffix, cj));
-            }
-          }
-          break;  // A DAG path contains cj at most once.
-        }
-      }
-    }
-  }
-
-  result.truncated = over_budget();
-  result.suspicious_trading_arcs.reserve(suspicious_local_arcs.size());
-  for (ArcId local : suspicious_local_arcs) {
-    result.suspicious_trading_arcs.push_back(sub.ToGlobalArc(local));
-  }
-  std::sort(result.suspicious_trading_arcs.begin(),
-            result.suspicious_trading_arcs.end());
-  return result;
 }
 
 MatchResult MatchPatternsTree(const SubTpiin& sub, const PatternsTree& tree,

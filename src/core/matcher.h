@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/component_pattern.h"
 #include "core/subtpiin.h"
 
 namespace tpiin {
@@ -74,29 +73,21 @@ struct MatchResult {
   bool truncated = false;
 };
 
+struct PatternsTree;  // pattern_tree.h
+
 /// The component-pattern matching step (Algorithm 1 step 8 / Appendix B,
 /// reconstructed): within each antecedent root's trail family, every
 /// trade-terminated trail {A1..Am -> Cj} is matched with every influence
 /// prefix {A1..Cj} found in the family (in another trail or in the
-/// trail's own element list), and each deduplicated pair becomes one
+/// trail's own element list), and each distinct pair becomes one
 /// suspicious group. A trail whose trade target re-enters its own
 /// element list additionally yields an in-trail circle group anchored at
 /// the re-entered node.
 ///
-/// This flat-base formulation mirrors the paper's Fig. 10 presentation
-/// and is kept as the readable reference; production mining uses
-/// MatchPatternsTree, which produces the identical result without
-/// re-deduplicating shared prefixes (tests assert the equivalence).
-MatchResult MatchPatterns(const SubTpiin& sub, const PatternBase& base,
-                          const MatchOptions& options = {});
-
-struct PatternsTree;  // pattern_tree.h
-
-/// Tree-driven matching: a patterns-tree node uniquely identifies one
-/// trail from its root, so the partner component patterns of a trading
-/// leaf ending at Cj are exactly the tree nodes labeled Cj in the same
-/// root subtree — no prefix extraction or deduplication. Output is
-/// identical to MatchPatterns on the corresponding base.
+/// Matching runs on the patterns tree: a tree node uniquely identifies
+/// one trail from its root, so the partner component patterns of a
+/// trading leaf ending at Cj are exactly the tree nodes labeled Cj in the
+/// same root subtree — no prefix extraction or deduplication.
 MatchResult MatchPatternsTree(const SubTpiin& sub, const PatternsTree& tree,
                               const MatchOptions& options = {});
 

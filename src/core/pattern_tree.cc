@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace tpiin {
 
@@ -73,14 +74,41 @@ std::string PatternsTree::ToString(const SubTpiin& sub) const {
   return out;
 }
 
+std::string PatternsTree::FormatTrail(const SubTpiin& sub,
+                                      int32_t index) const {
+  const TreeNode& end = nodes[index];
+  std::vector<NodeId> path = PathTo(end.via_trading_arc ? end.parent : index);
+  std::string out;
+  for (size_t i = 0; i < path.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += sub.Label(path[i]);
+  }
+  if (end.via_trading_arc) {
+    out += " -> ";
+    out += sub.Label(end.graph_node);
+  }
+  return out;
+}
+
+std::string FormatPatternBase(const SubTpiin& sub, const PatternsTree& tree) {
+  std::string out;
+  size_t number = 0;
+  for (int32_t i = 0; i < static_cast<int32_t>(tree.nodes.size()); ++i) {
+    if (!tree.EndsPattern(sub, i)) continue;
+    out += StringPrintf("%zu. ", ++number);
+    out += tree.FormatTrail(sub, i);
+    out += '\n';
+  }
+  return out;
+}
+
 namespace {
 
-// Emission state of the DFS: the trail budget, the arena-backed trail
-// base and the patterns tree.
+// Emission state of the DFS: the trail budget, the trail count and the
+// patterns tree.
 struct TrailSink {
   const PatternGenOptions& options;
   PatternGenResult& result;
-  std::vector<NodeId>& path;
   uint64_t budget_polls = 0;
 
   bool OverBudget() {
@@ -101,19 +129,12 @@ struct TrailSink {
     return false;
   }
 
-  void EmitPlain() {
-    ++result.num_trails;
-    if (options.emit_trails) result.base.Append(path);
-  }
-
-  void EmitTrade(ArcId arc_id, NodeId dst) {
-    ++result.num_trails;
-    if (options.emit_trails) result.base.Append(path, dst, arc_id);
-  }
+  // Counts the trail that ends at the tree node added in the same step
+  // (PatternsTree::EndsPattern relies on the pairing).
+  void EmitTrail() { ++result.num_trails; }
 
   int32_t AddTreeNode(NodeId graph_node, int32_t parent, bool via_trade,
                       ArcId via_arc) {
-    if (!options.build_tree) return -1;
     int32_t index = static_cast<int32_t>(result.tree.nodes.size());
     result.tree.nodes.push_back(
         PatternsTree::TreeNode{graph_node, parent, via_trade, via_arc});
@@ -135,18 +156,11 @@ struct Frame {
 // influence arc; on arbitrary hand-built networks the influence-based
 // rule additionally guarantees completeness when a company heading an
 // investment chain receives only trading arcs.
-std::vector<NodeId> SelectRoots(const SubTpiin& sub,
-                                const PatternGenOptions& options) {
+std::vector<NodeId> SelectRoots(const SubTpiin& sub) {
   const FrozenGraph& fg = sub.frozen;
   std::vector<NodeId> roots;
-  if (options.order_roots_by_list_d) {
-    for (const ListDEntry& entry : ComputeListD(sub)) {
-      if (fg.InfluenceInDegree(entry.node) == 0) roots.push_back(entry.node);
-    }
-  } else {
-    for (NodeId v = 0; v < fg.NumNodes(); ++v) {
-      if (fg.InfluenceInDegree(v) == 0) roots.push_back(v);
-    }
+  for (const ListDEntry& entry : ComputeListD(sub)) {
+    if (fg.InfluenceInDegree(entry.node) == 0) roots.push_back(entry.node);
   }
   return roots;
 }
@@ -155,8 +169,8 @@ std::vector<NodeId> SelectRoots(const SubTpiin& sub,
 // (descents) and then sweeps its trading span (Rule 2 emissions) — no
 // Arc struct load and no per-edge color branch anywhere. Every
 // subTPIIN numbers its influence arcs before its trading arcs, so this
-// visits each node's out arcs in arc-id order; the emitted base and
-// patterns tree are pinned by tests/integration/golden_digest_test.cc.
+// visits each node's out arcs in arc-id order; the emitted patterns
+// tree is pinned by tests/integration/golden_digest_test.cc.
 Result<PatternGenResult> Generate(const SubTpiin& sub,
                                   const PatternGenOptions& options,
                                   PatternGenResult result) {
@@ -188,12 +202,11 @@ Result<PatternGenResult> Generate(const SubTpiin& sub,
     }
   }
 
-  std::vector<NodeId> roots = SelectRoots(sub, options);
+  std::vector<NodeId> roots = SelectRoots(sub);
 
-  std::vector<Frame> frames;
-  std::vector<NodeId> path;
+  std::vector<Frame> frames;  // The DFS stack is the current walk.
   std::vector<uint8_t> on_path(n, 0);
-  TrailSink sink{options, result, path};
+  TrailSink sink{options, result};
 
   for (NodeId root : roots) {
     if (sink.OverBudget()) {
@@ -202,24 +215,22 @@ Result<PatternGenResult> Generate(const SubTpiin& sub,
     }
     int32_t root_tree = sink.AddTreeNode(root, -1, false, kInvalidArc);
     frames.push_back(Frame{root, 0, root_tree});
-    path.push_back(root);
     on_path[root] = 1;
-    if (fg.OutDegree(root) == 0) sink.EmitPlain();  // Rule 1 at the root.
+    if (fg.OutDegree(root) == 0) sink.EmitTrail();  // Rule 1 at the root.
 
     while (!frames.empty()) {
       if (sink.OverBudget()) {
         result.truncated = true;
-        // Unwind cleanly so on_path/path stay consistent.
+        // Unwind cleanly so on_path stays consistent.
         for (const Frame& f : frames) on_path[f.node] = 0;
         frames.clear();
-        path.clear();
         break;
       }
       Frame& frame = frames.back();
       AdjSpan influence = fg.InfluenceOut(frame.node);
       bool descended = false;
       bool length_capped = options.max_trail_length != 0 &&
-                           path.size() >= options.max_trail_length;
+                           frames.size() >= options.max_trail_length;
       while (frame.arc_pos < influence.size()) {
         NodeId dst = influence.nodes[frame.arc_pos];
         ArcId arc_id = influence.arcs[frame.arc_pos];
@@ -236,9 +247,8 @@ Result<PatternGenResult> Generate(const SubTpiin& sub,
         int32_t child_tree =
             sink.AddTreeNode(dst, frame.tree_index, false, arc_id);
         frames.push_back(Frame{dst, 0, child_tree});
-        path.push_back(dst);
         on_path[dst] = 1;
-        if (fg.OutDegree(dst) == 0) sink.EmitPlain();  // Rule 1.
+        if (fg.OutDegree(dst) == 0) sink.EmitTrail();  // Rule 1.
         descended = true;
         break;
       }
@@ -249,12 +259,11 @@ Result<PatternGenResult> Generate(const SubTpiin& sub,
       // lies on the path). Then backtrack.
       AdjSpan trades = fg.TradingOut(frame.node);
       for (size_t i = 0; i < trades.size(); ++i) {
-        sink.EmitTrade(trades.arcs[i], trades.nodes[i]);
+        sink.EmitTrail();
         sink.AddTreeNode(trades.nodes[i], frame.tree_index, true,
                          trades.arcs[i]);
       }
       on_path[frame.node] = 0;
-      path.pop_back();
       frames.pop_back();
     }
   }
@@ -266,14 +275,12 @@ Result<PatternGenResult> Generate(const SubTpiin& sub,
 
 Result<PatternGenResult> GeneratePatternBase(
     const SubTpiin& sub, const PatternGenOptions& options) {
-  // Seed the result with recycled buffers when the caller provided
-  // scratch: content-wise a cleared buffer equals a fresh one, so the
-  // walk is oblivious to where its storage came from.
+  // Seed the result with the recycled tree when the caller provided
+  // scratch: content-wise a cleared tree equals a fresh one, so the walk
+  // is oblivious to where its storage came from.
   PatternGenResult seed;
   if (options.scratch != nullptr) {
-    seed.base = std::move(options.scratch->base);
-    seed.base.Clear();
-    seed.tree = std::move(options.scratch->tree);
+    seed.tree = std::move(*options.scratch);
     seed.tree.Clear();
   }
   return Generate(sub, options, std::move(seed));

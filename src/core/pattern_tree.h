@@ -7,7 +7,6 @@
 
 #include "common/deadline.h"
 #include "common/result.h"
-#include "core/component_pattern.h"
 #include "core/subtpiin.h"
 
 namespace tpiin {
@@ -29,6 +28,15 @@ std::vector<ListDEntry> ComputeListD(const SubTpiin& sub);
 /// stored once — the reason the paper builds a tree rather than a flat
 /// trail list, and what makes component-pattern matching linear in the
 /// number of matched pairs (see MatchPatternsTree).
+///
+/// The tree is also the potential component patterns base (Fig. 10):
+/// the suspicious relationship trails Algorithm 2 emits are the tree
+/// nodes that end a component pattern (EndsPattern), in index order.
+/// Each is one of two walk kinds:
+///  - InOT-OutOSP walk (Definition 5): {A1, ..., Am}, all influence arcs,
+///    from an indegree-zero node to an outdegree-zero node; or
+///  - InOT-FTAOP walk (Definition 6): {A1, ..., Am, -> Cj}, an influence
+///    trail joined with its first trading arc (Lemma 1).
 struct PatternsTree {
   struct TreeNode {
     NodeId graph_node = kInvalidNode;
@@ -51,6 +59,23 @@ struct PatternsTree {
   /// free of per-pattern allocations.
   void PathTo(int32_t index, std::vector<NodeId>* out) const;
 
+  /// True when tree node `index` ends a component pattern of `sub`:
+  ///  - a trade leaf (Rule 2), whose InOT-FTAOP walk is the path to its
+  ///    parent plus the trading arc `via_arc` into `graph_node`; or
+  ///  - any other node whose graph node has outdegree zero (Rule 1),
+  ///    whose InOT-OutOSP walk is the path to it.
+  /// Algorithm 2 counts a trail in the step that adds its ending node,
+  /// truncation included, so these nodes are exactly its num_trails.
+  bool EndsPattern(const SubTpiin& sub, int32_t index) const {
+    return nodes[index].via_trading_arc ||
+           sub.frozen.OutDegree(nodes[index].graph_node) == 0;
+  }
+
+  /// Renders the component pattern that ends at `index` (see
+  /// EndsPattern) in the paper's notation, e.g. "L1, C2, C5 -> C6" or
+  /// "L1, C4".
+  std::string FormatTrail(const SubTpiin& sub, int32_t index) const;
+
   /// Removes every tree node but keeps vector capacity, for recycling
   /// across GeneratePatternBase calls (see core/arena_pool.h).
   void Clear() {
@@ -62,30 +87,12 @@ struct PatternsTree {
   std::string ToString(const SubTpiin& sub) const;
 };
 
-/// Reusable generation buffers: a PatternBase arena plus a PatternsTree.
-/// When handed to GeneratePatternBase via PatternGenOptions::scratch,
-/// the generator moves the buffers into its result (cleared, capacity
-/// kept) instead of default-constructing them, so a caller that recycles
-/// the buffers — typically through an ArenaPool (core/arena_pool.h) —
-/// stops paying per-subTPIIN reallocation on repeated detection runs.
-struct PatternScratch {
-  PatternBase base;
-  PatternsTree tree;
-};
+/// Renders the potential component patterns base, one numbered trail
+/// per line (Fig. 10 layout): every node of `tree` that ends a component
+/// pattern, in emission order.
+std::string FormatPatternBase(const SubTpiin& sub, const PatternsTree& tree);
 
 struct PatternGenOptions {
-  /// Materialize the trail list (the potential component patterns base,
-  /// Fig. 10). Mining itself only needs the tree; the detector turns
-  /// this off.
-  bool emit_trails = true;
-
-  /// Build the patterns tree. On by default — matching consumes it.
-  bool build_tree = true;
-
-  /// Emit roots in listD order (paper fidelity). When false, roots come
-  /// in node-id order; the resulting base is a permutation.
-  bool order_roots_by_list_d = true;
-
   /// Safety valves for adversarial inputs; 0 = unlimited.
   size_t max_trails = 0;
   size_t max_trail_length = 0;
@@ -93,21 +100,22 @@ struct PatternGenOptions {
   /// Time budget for this generation (graceful degradation). When it
   /// expires mid-walk the DFS unwinds cleanly and returns whatever was
   /// emitted so far with truncated and deadline_expired set — a partial
-  /// base is still a valid base (every emitted trail is complete), it
+  /// tree is still a valid tree (every emitted trail is complete), it
   /// just under-approximates the pattern set. Unlimited by default.
   Deadline deadline;
 
-  /// Optional recycled buffers: when set, generation takes over
-  /// scratch->base/tree storage (cleared, capacity kept) for the
-  /// returned result instead of growing fresh vectors. The emitted
-  /// content is identical with or without scratch.
-  PatternScratch* scratch = nullptr;
+  /// Optional recycled buffer: when set, generation takes over its
+  /// storage (cleared, capacity kept) for the returned tree instead of
+  /// growing fresh vectors, so a caller that recycles trees — typically
+  /// through an ArenaPool (core/arena_pool.h) — stops paying
+  /// per-subTPIIN reallocation on repeated detection runs. The emitted
+  /// tree is identical with or without scratch.
+  PatternsTree* scratch = nullptr;
 };
 
 struct PatternGenResult {
-  PatternBase base;   // Populated iff options.emit_trails.
-  PatternsTree tree;  // Populated iff options.build_tree.
-  size_t num_trails = 0;  // Always counted (Rule 1 + Rule 2 stops).
+  PatternsTree tree;
+  size_t num_trails = 0;  // Rule 1 + Rule 2 stops.
   bool truncated = false;
   /// Truncation was (at least in part) caused by the deadline rather
   /// than the max_trails/max_trail_length valves.
@@ -115,10 +123,10 @@ struct PatternGenResult {
 };
 
 /// Algorithm 2: builds the patterns tree of `sub` by depth-first search
-/// from every indegree-zero node, ending each walk at an outdegree-zero
-/// node (Rule 1) or right after the first trading arc (Rule 2), and
-/// emits each root-to-stop trail into the potential component patterns
-/// base.
+/// from every indegree-zero node in listD order, ending each walk at an
+/// outdegree-zero node (Rule 1) or right after the first trading arc
+/// (Rule 2); each root-to-stop trail is one component pattern of the
+/// potential component patterns base.
 ///
 /// Returns FailedPrecondition if the influence (antecedent) subgraph of
 /// `sub` contains a directed cycle — Property 1 requires a DAG, and

@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "common/string_util.h"
+#include "obs/report.h"
 
 namespace tpiin {
 
@@ -25,37 +26,6 @@ void AppendLabelArray(std::string& out, const Tpiin& net,
 }
 
 }  // namespace
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StringPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string DetectionToJson(const Tpiin& net,
                             const DetectionResult& detection,

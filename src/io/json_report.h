@@ -2,7 +2,6 @@
 #define TPIIN_IO_JSON_REPORT_H_
 
 #include <string>
-#include <string_view>
 
 #include "core/detector.h"
 #include "core/scoring.h"
@@ -30,10 +29,6 @@ namespace tpiin {
 std::string DetectionToJson(const Tpiin& net,
                             const DetectionResult& detection,
                             const ScoringResult* scoring = nullptr);
-
-/// Escapes a string for embedding in a JSON string literal (quotes not
-/// included).
-std::string JsonEscape(std::string_view text);
 
 }  // namespace tpiin
 

@@ -4,17 +4,9 @@
 
 namespace tpiin {
 
-// All four writers stream through AtomicFile: a crash or injected IO
+// All three writers stream through AtomicFile: a crash or injected IO
 // failure mid-write leaves the previous artifact (or nothing), never a
 // torn one.
-
-Status WritePatternBaseFile(const std::string& path, const SubTpiin& sub,
-                            const PatternBase& base) {
-  AtomicFile file(path);
-  if (!file.ok()) return Status::IOError("cannot open " + path);
-  file.stream() << FormatPatternBase(sub, base);
-  return file.Commit();
-}
 
 std::string RenderSuspiciousGroups(
     const Tpiin& net, const std::vector<SuspiciousGroup>& groups) {

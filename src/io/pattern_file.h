@@ -6,17 +6,10 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/component_pattern.h"
 #include "core/detector.h"
 #include "core/matcher.h"
-#include "core/subtpiin.h"
 
 namespace tpiin {
-
-/// Writes one subTPIIN's potential component patterns base as the paper's
-/// numbered-trail file patterns(i) (Fig. 10 layout).
-Status WritePatternBaseFile(const std::string& path, const SubTpiin& sub,
-                            const PatternBase& base);
 
 /// Renders detected suspicious groups in the paper's susGroup(i)
 /// layout: one group per line, "antecedent: {trail1} | {trail2}

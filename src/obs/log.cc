@@ -72,7 +72,9 @@ std::string Basename(const char* file) {
 }
 
 void AppendJsonString(std::string* out, std::string_view value) {
-  *out += ReportValueToJson(ReportValue(std::string(value)));
+  *out += '"';
+  *out += JsonEscape(value);
+  *out += '"';
 }
 
 }  // namespace

@@ -27,9 +27,11 @@ bool WriteWholeFileAtomic(const std::string& path,
   return true;
 }
 
-std::string JsonEscapeString(const std::string& text) {
+}  // namespace
+
+std::string JsonEscape(std::string_view text) {
   std::string out;
-  out.reserve(text.size() + 2);
+  out.reserve(text.size());
   for (char c : text) {
     switch (c) {
       case '"':
@@ -60,8 +62,6 @@ std::string JsonEscapeString(const std::string& text) {
   return out;
 }
 
-}  // namespace
-
 std::string ReportValueToJson(const ReportValue& value) {
   char buf[64];
   switch (value.index()) {
@@ -81,7 +81,7 @@ std::string ReportValueToJson(const ReportValue& value) {
       return std::get<bool>(value) ? "true" : "false";
     default: {
       std::string quoted = "\"";
-      quoted += JsonEscapeString(std::get<std::string>(value));
+      quoted += JsonEscape(std::get<std::string>(value));
       quoted += '"';
       return quoted;
     }
@@ -127,7 +127,7 @@ std::string RunReport::ToJson() const {
   char buf[96];
   std::string out = "{\n";
   out += "  \"tool\": \"";
-  out += JsonEscapeString(tool_);
+  out += JsonEscape(tool_);
   out += "\",\n";
   std::snprintf(buf, sizeof(buf), "  \"threads\": %u,\n", threads_);
   out += buf;
@@ -140,7 +140,7 @@ std::string RunReport::ToJson() const {
     const Stage& stage = stages_[i];
     if (i > 0) out += ',';
     out += "\n    {\"name\": \"";
-    out += JsonEscapeString(stage.name);
+    out += JsonEscape(stage.name);
     out += "\", ";
     std::snprintf(buf, sizeof(buf),
                   "\"seconds\": %.9g, \"cpu_seconds\": %.9g, "
@@ -155,13 +155,13 @@ std::string RunReport::ToJson() const {
   for (size_t s = 0; s < sections_.size(); ++s) {
     if (s > 0) out += ',';
     out += "\n    \"";
-    out += JsonEscapeString(sections_[s].first);
+    out += JsonEscape(sections_[s].first);
     out += "\": {";
     const auto& items = sections_[s].second.items();
     for (size_t i = 0; i < items.size(); ++i) {
       if (i > 0) out += ", ";
       out += '"';
-      out += JsonEscapeString(items[i].first);
+      out += JsonEscape(items[i].first);
       out += "\": ";
       out += ReportValueToJson(items[i].second);
     }
@@ -174,12 +174,12 @@ std::string RunReport::ToJson() const {
     if (t > 0) out += ',';
     const ReportTable& table = tables_[t].second;
     out += "\n    \"";
-    out += JsonEscapeString(tables_[t].first);
+    out += JsonEscape(tables_[t].first);
     out += "\": {\"columns\": [";
     for (size_t c = 0; c < table.columns().size(); ++c) {
       if (c > 0) out += ", ";
       out += '"';
-      out += JsonEscapeString(table.columns()[c]);
+      out += JsonEscape(table.columns()[c]);
       out += '"';
     }
     out += "], \"rows\": [";

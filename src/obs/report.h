@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -15,6 +16,11 @@ namespace tpiin {
 /// One scalar in a RunReport: the JSON-expressible primitives.
 using ReportValue =
     std::variant<int64_t, uint64_t, double, bool, std::string>;
+
+/// Escapes a string for embedding in a JSON string literal (quotes not
+/// included). The one JSON string escaper: run reports, the structured
+/// log, the batch JSON report and serve's wire responses all use it.
+std::string JsonEscape(std::string_view text);
 
 /// Renders a ReportValue as a JSON literal (strings escaped+quoted).
 std::string ReportValueToJson(const ReportValue& value);

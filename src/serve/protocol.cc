@@ -5,7 +5,7 @@
 #include <cstdlib>
 
 #include "common/string_util.h"
-#include "io/json_report.h"  // JsonEscape: shared with the batch JSON report.
+#include "obs/report.h"  // JsonEscape
 
 namespace tpiin {
 

@@ -21,7 +21,6 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "io/json_report.h"  // JsonEscape, for the slow verb's payload.
 #include "obs/prometheus.h"
 #include "obs/rss.h"
 #include "serve/protocol.h"

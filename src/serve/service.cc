@@ -314,18 +314,15 @@ Response QueryService::HandleRescore(const Request& request,
   }
 
   PatternGenOptions gen_options;
-  gen_options.emit_trails = false;
   gen_options.deadline = Deadline::Sooner(
       Deadline::After(budget.deadline_seconds),
       Deadline::After(budget.sub_slice_seconds));
-  PatternScratch scratch = shared_->arena_pool.Acquire();
+  PatternsTree scratch = shared_->arena_pool.Acquire();
   gen_options.scratch = &scratch;
   Result<PatternGenResult> gen = GeneratePatternBase(sub, gen_options);
   if (!gen.ok()) return ErrorResponse(request, gen.status());
   MatchResult match = MatchPatternsTree(sub, gen->tree);
-  scratch.base = std::move(gen->base);
-  scratch.tree = std::move(gen->tree);
-  shared_->arena_pool.Release(std::move(scratch));
+  shared_->arena_pool.Release(std::move(gen->tree));
   degraded = gen->deadline_expired;
 
   std::string payload = StringPrintf(

@@ -1,4 +1,4 @@
-// ArenaPool recycles PatternScratch buffers across detector runs. The
+// ArenaPool recycles patterns trees across detector runs. The
 // contract under test: acquire/hit accounting is exact, a recycled
 // buffer behaves like a fresh one (detection results are identical with
 // and without a pool), and concurrent Acquire/Release from many threads
@@ -21,12 +21,12 @@ TEST(ArenaPoolTest, MissThenHitAccounting) {
   EXPECT_EQ(pool.num_acquires(), 0u);
   EXPECT_EQ(pool.num_hits(), 0u);
 
-  PatternScratch scratch = pool.Acquire();
+  PatternsTree tree = pool.Acquire();
   EXPECT_EQ(pool.num_acquires(), 1u);
   EXPECT_EQ(pool.num_hits(), 0u);
 
-  pool.Release(std::move(scratch));
-  PatternScratch recycled = pool.Acquire();
+  pool.Release(std::move(tree));
+  PatternsTree recycled = pool.Acquire();
   EXPECT_EQ(pool.num_acquires(), 2u);
   EXPECT_EQ(pool.num_hits(), 1u);
   pool.Release(std::move(recycled));
@@ -37,8 +37,8 @@ TEST(ArenaPoolTest, DrainingTheShardMissesAgain) {
   // Same thread → same shard: two releases stock the free list for two
   // hits, and a third acquire misses again.
   pool.Release(pool.Acquire());
-  PatternScratch a = pool.Acquire();
-  PatternScratch b = pool.Acquire();
+  PatternsTree a = pool.Acquire();
+  PatternsTree b = pool.Acquire();
   EXPECT_EQ(pool.num_acquires(), 3u);
   EXPECT_EQ(pool.num_hits(), 1u);
   pool.Release(std::move(a));
@@ -108,8 +108,8 @@ TEST(ArenaPoolTest, ConcurrentAcquireReleaseIsSafe) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&pool] {
       for (int i = 0; i < kIters; ++i) {
-        PatternScratch scratch = pool.Acquire();
-        pool.Release(std::move(scratch));
+        PatternsTree tree = pool.Acquire();
+        pool.Release(std::move(tree));
       }
     });
   }

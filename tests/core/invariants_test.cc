@@ -1,6 +1,6 @@
-// Cross-cutting invariants that don't belong to a single unit: root
-// ordering must not change results, detector options must compose, and
-// the paper's degenerate patterns (Fig. 3 variants) must all resolve.
+// Cross-cutting invariants that don't belong to a single unit: detector
+// options must compose, and the paper's degenerate patterns (Fig. 3
+// variants) must all resolve.
 
 #include <set>
 
@@ -15,34 +15,6 @@
 
 namespace tpiin {
 namespace {
-
-TEST(InvariantsTest, RootOrderingDoesNotChangeMatches) {
-  for (uint64_t seed = 0; seed < 15; ++seed) {
-    Tpiin net = RandomTpiin(seed);
-    for (const SubTpiin& sub : SegmentTpiin(net)) {
-      PatternGenOptions list_d;
-      PatternGenOptions by_id;
-      by_id.order_roots_by_list_d = false;
-      auto a = GeneratePatternBase(sub, list_d);
-      auto b = GeneratePatternBase(sub, by_id);
-      ASSERT_TRUE(a.ok() && b.ok());
-      // The bases are permutations of each other...
-      EXPECT_EQ(a->base.size(), b->base.size());
-      std::multiset<std::string> fa;
-      std::multiset<std::string> fb;
-      for (const auto& t : a->base) fa.insert(t.Format(sub));
-      for (const auto& t : b->base) fb.insert(t.Format(sub));
-      EXPECT_EQ(fa, fb);
-      // ... and matching them yields identical counts and arcs.
-      MatchResult ma = MatchPatternsTree(sub, a->tree);
-      MatchResult mb = MatchPatternsTree(sub, b->tree);
-      EXPECT_EQ(ma.num_simple, mb.num_simple);
-      EXPECT_EQ(ma.num_complex, mb.num_complex);
-      EXPECT_EQ(ma.num_cycle_groups, mb.num_cycle_groups);
-      EXPECT_EQ(ma.suspicious_trading_arcs, mb.suspicious_trading_arcs);
-    }
-  }
-}
 
 TEST(InvariantsTest, DisablingCycleDetectionOnlyDropsCycleGroups) {
   for (uint64_t seed = 20; seed < 35; ++seed) {

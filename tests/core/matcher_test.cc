@@ -1,9 +1,12 @@
 #include "core/matcher.h"
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "core/baseline.h"
 #include "core/pattern_tree.h"
 #include "core/subtpiin.h"
 #include "tests/core/test_util.h"
@@ -47,7 +50,7 @@ TEST(MatcherTest, TriangleYieldsOneSimpleGroup) {
   Prepared prepared = Prepare(TriangleNet());
   ASSERT_EQ(prepared.subs.size(), 1u);
   MatchResult match =
-      MatchPatterns(prepared.subs[0], prepared.gens[0].base);
+      MatchPatternsTree(prepared.subs[0], prepared.gens[0].tree);
   EXPECT_EQ(match.num_simple, 1u);
   EXPECT_EQ(match.num_complex, 0u);
   EXPECT_EQ(match.num_cycle_groups, 0u);
@@ -77,7 +80,7 @@ TEST(MatcherTest, NoCommonAntecedentNoGroup) {
   Prepared prepared = Prepare(std::move(built).value());
   ASSERT_EQ(prepared.subs.size(), 1u);
   MatchResult match =
-      MatchPatterns(prepared.subs[0], prepared.gens[0].base);
+      MatchPatternsTree(prepared.subs[0], prepared.gens[0].tree);
   EXPECT_EQ(match.num_simple + match.num_complex, 0u);
   EXPECT_TRUE(match.suspicious_trading_arcs.empty());
 }
@@ -95,7 +98,7 @@ TEST(MatcherTest, InvestorSellingToInvesteeIsSuspicious) {
   ASSERT_TRUE(built.ok());
   Prepared prepared = Prepare(std::move(built).value());
   MatchResult match =
-      MatchPatterns(prepared.subs[0], prepared.gens[0].base);
+      MatchPatternsTree(prepared.subs[0], prepared.gens[0].tree);
   EXPECT_GE(match.num_simple + match.num_complex, 1u);
   EXPECT_EQ(match.suspicious_trading_arcs.size(), 1u);
 }
@@ -114,7 +117,7 @@ TEST(MatcherTest, InTrailCycleDetected) {
   ASSERT_TRUE(built.ok());
   Prepared prepared = Prepare(std::move(built).value());
   MatchResult match =
-      MatchPatterns(prepared.subs[0], prepared.gens[0].base);
+      MatchPatternsTree(prepared.subs[0], prepared.gens[0].tree);
   EXPECT_EQ(match.num_cycle_groups, 1u);
   bool found_cycle_group = false;
   for (const SuspiciousGroup& group : match.groups) {
@@ -146,7 +149,7 @@ TEST(MatcherTest, ComplexGroupWhenTrailsShareIntermediate) {
   ASSERT_TRUE(built.ok());
   Prepared prepared = Prepare(std::move(built).value());
   MatchResult match =
-      MatchPatterns(prepared.subs[0], prepared.gens[0].base);
+      MatchPatternsTree(prepared.subs[0], prepared.gens[0].tree);
   // Anchored at P: trails {P,H,C1->C2} and {P,H,C2} share H -> complex.
   EXPECT_EQ(match.num_complex, 1u);
   EXPECT_EQ(match.num_simple, 0u);
@@ -169,7 +172,7 @@ TEST(MatcherTest, TwoTradeTrailsDoNotPair) {
   ASSERT_TRUE(built.ok());
   Prepared prepared = Prepare(std::move(built).value());
   MatchResult match =
-      MatchPatterns(prepared.subs[0], prepared.gens[0].base);
+      MatchPatternsTree(prepared.subs[0], prepared.gens[0].tree);
   // Each trade pairs with the influence trail {P, C3}; the two trade
   // trails never pair with each other.
   EXPECT_EQ(match.num_simple + match.num_complex, 2u);
@@ -188,7 +191,7 @@ TEST(MatcherTest, MaxGroupsTruncates) {
   size_t total = 0;
   for (size_t i = 0; i < prepared.subs.size(); ++i) {
     MatchResult match =
-        MatchPatterns(prepared.subs[i], prepared.gens[i].base, options);
+        MatchPatternsTree(prepared.subs[i], prepared.gens[i].tree, options);
     total += match.num_simple + match.num_complex + match.num_cycle_groups;
     EXPECT_LE(total, prepared.subs.size());
   }
@@ -197,7 +200,7 @@ TEST(MatcherTest, MaxGroupsTruncates) {
 TEST(MatcherTest, GroupMembersAreSortedUniqueUnion) {
   Prepared prepared = Prepare(TriangleNet());
   MatchResult match =
-      MatchPatterns(prepared.subs[0], prepared.gens[0].base);
+      MatchPatternsTree(prepared.subs[0], prepared.gens[0].tree);
   ASSERT_EQ(match.groups.size(), 1u);
   const SuspiciousGroup& group = match.groups[0];
   EXPECT_TRUE(std::is_sorted(group.members.begin(), group.members.end()));
@@ -212,7 +215,7 @@ TEST(MatcherTest, GroupMembersAreSortedUniqueUnion) {
 TEST(MatcherTest, FormatMentionsLabelsAndFlags) {
   Prepared prepared = Prepare(TriangleNet());
   MatchResult match =
-      MatchPatterns(prepared.subs[0], prepared.gens[0].base);
+      MatchPatternsTree(prepared.subs[0], prepared.gens[0].tree);
   ASSERT_EQ(match.groups.size(), 1u);
   std::string text = match.groups[0].Format(prepared.net);
   EXPECT_NE(text.find("P"), std::string::npos);
@@ -220,25 +223,36 @@ TEST(MatcherTest, FormatMentionsLabelsAndFlags) {
   EXPECT_NE(text.find("[simple]"), std::string::npos);
 }
 
-// Equivalence: the tree-driven matcher must produce exactly the
-// base-driven matcher's result on random networks.
+// Equivalence: the tree-driven matcher, run on every subTPIIN's patterns
+// tree, must produce exactly the certified root-anchored baseline's
+// result on random networks.
 class MatcherEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MatcherEquivalenceTest, TreeMatchesBase) {
-  Tpiin net = RandomTpiin(GetParam());
-  for (const SubTpiin& sub : SegmentTpiin(net)) {
-    auto gen = GeneratePatternBase(sub);
-    ASSERT_TRUE(gen.ok());
-    MatchResult from_base = MatchPatterns(sub, gen->base);
-    MatchResult from_tree = MatchPatternsTree(sub, gen->tree);
-    EXPECT_EQ(from_base.num_simple, from_tree.num_simple);
-    EXPECT_EQ(from_base.num_complex, from_tree.num_complex);
-    EXPECT_EQ(from_base.num_cycle_groups, from_tree.num_cycle_groups);
-    EXPECT_EQ(from_base.suspicious_trading_arcs,
-              from_tree.suspicious_trading_arcs);
-    EXPECT_EQ(PairwiseKeys(from_base.groups),
-              PairwiseKeys(from_tree.groups));
+  Prepared prepared = Prepare(RandomTpiin(GetParam()));
+  size_t num_simple = 0;
+  size_t num_complex = 0;
+  std::vector<SuspiciousGroup> groups;
+  std::vector<std::pair<NodeId, NodeId>> trades;
+  for (size_t i = 0; i < prepared.subs.size(); ++i) {
+    MatchResult match =
+        MatchPatternsTree(prepared.subs[i], prepared.gens[i].tree);
+    num_simple += match.num_simple;
+    num_complex += match.num_complex;
+    groups.insert(groups.end(), match.groups.begin(), match.groups.end());
+    for (ArcId id : match.suspicious_trading_arcs) {
+      const Arc arc = prepared.net.arc(id);
+      trades.emplace_back(arc.src, arc.dst);
+    }
   }
+  std::sort(trades.begin(), trades.end());
+  trades.erase(std::unique(trades.begin(), trades.end()), trades.end());
+
+  BaselineResult baseline = DetectBaseline(prepared.net);
+  EXPECT_EQ(num_simple, baseline.num_simple);
+  EXPECT_EQ(num_complex, baseline.num_complex);
+  EXPECT_EQ(PairwiseKeys(groups), PairwiseKeys(baseline.groups));
+  EXPECT_EQ(trades, baseline.suspicious_trades);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomNets, MatcherEquivalenceTest,

@@ -37,6 +37,33 @@ std::vector<SubTpiin> SingleSub(const Tpiin& net) {
   return SegmentTpiin(net, options);
 }
 
+// The component patterns of `tree`, read through the one predicate: the
+// indices of the tree nodes that end one, in emission order.
+std::vector<int32_t> PatternEnds(const SubTpiin& sub,
+                                 const PatternsTree& tree) {
+  std::vector<int32_t> ends;
+  for (int32_t i = 0; i < static_cast<int32_t>(tree.nodes.size()); ++i) {
+    if (tree.EndsPattern(sub, i)) ends.push_back(i);
+  }
+  return ends;
+}
+
+// The influence elements A1..Am of the component pattern ending at
+// `end`: a trade leaf's trail stops at its parent, before the trade.
+std::vector<NodeId> InfluenceNodes(const PatternsTree& tree, int32_t end) {
+  const PatternsTree::TreeNode& node = tree.nodes[end];
+  return tree.PathTo(node.via_trading_arc ? node.parent : end);
+}
+
+std::set<std::string> FormattedTrails(const SubTpiin& sub,
+                                      const PatternsTree& tree) {
+  std::set<std::string> formatted;
+  for (int32_t end : PatternEnds(sub, tree)) {
+    formatted.insert(tree.FormatTrail(sub, end));
+  }
+  return formatted;
+}
+
 TEST(PatternTreeTest, DiamondEnumeratesBothPaths) {
   Tpiin net = DiamondNet();
   std::vector<SubTpiin> subs = SingleSub(net);
@@ -44,10 +71,9 @@ TEST(PatternTreeTest, DiamondEnumeratesBothPaths) {
   auto gen = GeneratePatternBase(subs[0]);
   ASSERT_TRUE(gen.ok());
   // Trails: P,C1,C2,C4 -> C1 and P,C1,C3,C4 -> C1 (both trade-stopped).
-  EXPECT_EQ(gen->base.size(), 2u);
+  EXPECT_EQ(PatternEnds(subs[0], gen->tree).size(), 2u);
   EXPECT_EQ(gen->num_trails, 2u);
-  std::set<std::string> formatted;
-  for (const auto& t : gen->base) formatted.insert(t.Format(subs[0]));
+  std::set<std::string> formatted = FormattedTrails(subs[0], gen->tree);
   EXPECT_TRUE(formatted.count("P, C1, C2, C4 -> C1"));
   EXPECT_TRUE(formatted.count("P, C1, C3, C4 -> C1"));
 }
@@ -65,8 +91,7 @@ TEST(PatternTreeTest, Rule1StopsAtOutdegreeZero) {
   std::vector<SubTpiin> subs = SingleSub(*net);
   auto gen = GeneratePatternBase(subs[0]);
   ASSERT_TRUE(gen.ok());
-  std::set<std::string> formatted;
-  for (const auto& t : gen->base) formatted.insert(t.Format(subs[0]));
+  std::set<std::string> formatted = FormattedTrails(subs[0], gen->tree);
   // The pure walk P,C1,C2 stops at C2 (outdegree zero); the trade walk
   // P,C1 -> C2 stops at the first trading arc (Rule 2).
   EXPECT_TRUE(formatted.count("P, C1, C2"));
@@ -92,10 +117,10 @@ TEST(PatternTreeTest, Rule2StopsAtFirstTradingArcOnly) {
   std::vector<SubTpiin> subs = SingleSub(*net);
   auto gen = GeneratePatternBase(subs[0]);
   ASSERT_TRUE(gen.ok());
-  for (const auto& t : gen->base) {
+  for (int32_t end : PatternEnds(subs[0], gen->tree)) {
     // No trail may contain more than one trading hop: nodes are all
     // influence-reached, plus at most the final trade target.
-    EXPECT_LE(t.nodes.size(), 2u);
+    EXPECT_LE(InfluenceNodes(gen->tree, end).size(), 2u);
   }
 }
 
@@ -109,8 +134,9 @@ TEST(PatternTreeTest, TrailsStartAtInfluenceIndegreeZeroNodes) {
     }
     auto gen = GeneratePatternBase(sub);
     ASSERT_TRUE(gen.ok());
-    for (const auto& t : gen->base) {
-      EXPECT_EQ(influence_in[t.nodes[0]], 0u) << t.Format(sub);
+    for (int32_t end : PatternEnds(sub, gen->tree)) {
+      EXPECT_EQ(influence_in[InfluenceNodes(gen->tree, end)[0]], 0u)
+          << gen->tree.FormatTrail(sub, end);
     }
   }
 }
@@ -122,25 +148,27 @@ TEST(PatternTreeTest, TrailsAreSimplePathsPlusOptionalTrade) {
       auto gen = GeneratePatternBase(sub);
       ASSERT_TRUE(gen.ok());
       const std::vector<Arc> arcs = LocalArcTable(sub);
-      for (const auto& t : gen->base) {
+      const PatternsTree& tree = gen->tree;
+      for (int32_t end : PatternEnds(sub, tree)) {
+        const std::vector<NodeId> nodes = InfluenceNodes(tree, end);
         // Elements are distinct (Property 1).
-        std::set<NodeId> unique(t.nodes.begin(), t.nodes.end());
-        EXPECT_EQ(unique.size(), t.nodes.size());
+        std::set<NodeId> unique(nodes.begin(), nodes.end());
+        EXPECT_EQ(unique.size(), nodes.size());
         // Consecutive elements are influence arcs; the final hop (if
         // any) is a trading arc.
-        for (size_t i = 1; i < t.nodes.size(); ++i) {
+        for (size_t i = 1; i < nodes.size(); ++i) {
           bool found = false;
-          for (ArcId id : sub.frozen.Out(t.nodes[i - 1]).arcs) {
+          for (ArcId id : sub.frozen.Out(nodes[i - 1]).arcs) {
             const Arc& arc = arcs[id];
-            if (arc.dst == t.nodes[i] && IsInfluenceArc(arc)) found = true;
+            if (arc.dst == nodes[i] && IsInfluenceArc(arc)) found = true;
           }
           EXPECT_TRUE(found);
         }
-        if (t.has_trade()) {
-          const Arc& arc = arcs[t.trade_arc];
+        if (tree.nodes[end].via_trading_arc) {
+          const Arc& arc = arcs[tree.nodes[end].via_arc];
           EXPECT_TRUE(IsTradingArc(arc));
-          EXPECT_EQ(arc.src, t.seller());
-          EXPECT_EQ(arc.dst, t.trade_dst);
+          EXPECT_EQ(arc.src, nodes.back());
+          EXPECT_EQ(arc.dst, tree.nodes[end].graph_node);
         }
       }
     }
@@ -153,15 +181,19 @@ TEST(PatternTreeTest, TreeLeavesAgreeWithTrailCount) {
     for (const SubTpiin& sub : SegmentTpiin(net)) {
       auto gen = GeneratePatternBase(sub);
       ASSERT_TRUE(gen.ok());
-      EXPECT_EQ(gen->base.size(), gen->num_trails);
-      // Every trade trail corresponds to one trading tree leaf.
-      size_t trading_leaves = 0;
-      for (const auto& node : gen->tree.nodes) {
-        trading_leaves += node.via_trading_arc ? 1 : 0;
+      const PatternsTree& tree = gen->tree;
+      // Without truncation the component patterns are exactly the tree
+      // leaves: a walk stops only at a trade or an outdegree-zero node.
+      std::vector<uint8_t> has_child(tree.nodes.size(), 0);
+      for (const PatternsTree::TreeNode& node : tree.nodes) {
+        if (node.parent >= 0) has_child[node.parent] = 1;
       }
-      size_t trade_trails = 0;
-      for (const auto& t : gen->base) trade_trails += t.has_trade();
-      EXPECT_EQ(trading_leaves, trade_trails);
+      std::vector<int32_t> leaves;
+      for (int32_t i = 0; i < static_cast<int32_t>(tree.nodes.size()); ++i) {
+        if (!has_child[i]) leaves.push_back(i);
+      }
+      EXPECT_EQ(PatternEnds(sub, tree), leaves);
+      EXPECT_EQ(leaves.size(), gen->num_trails);
     }
   }
 }
@@ -188,7 +220,7 @@ TEST(PatternTreeTest, MaxTrailsTruncates) {
   auto gen = GeneratePatternBase(subs[0], options);
   ASSERT_TRUE(gen.ok());
   EXPECT_TRUE(gen->truncated);
-  EXPECT_EQ(gen->base.size(), 1u);
+  EXPECT_EQ(PatternEnds(subs[0], gen->tree).size(), 1u);
 }
 
 TEST(PatternTreeTest, MaxTrailLengthTruncates) {
@@ -199,19 +231,32 @@ TEST(PatternTreeTest, MaxTrailLengthTruncates) {
   auto gen = GeneratePatternBase(subs[0], options);
   ASSERT_TRUE(gen.ok());
   EXPECT_TRUE(gen->truncated);
-  for (const auto& t : gen->base) EXPECT_LE(t.nodes.size(), 2u);
+  for (int32_t end : PatternEnds(subs[0], gen->tree)) {
+    EXPECT_LE(InfluenceNodes(gen->tree, end).size(), 2u);
+  }
 }
 
-TEST(PatternTreeTest, EmitTrailsOffStillCounts) {
-  Tpiin net = DiamondNet();
-  std::vector<SubTpiin> subs = SingleSub(net);
-  PatternGenOptions options;
-  options.emit_trails = false;
-  auto gen = GeneratePatternBase(subs[0], options);
-  ASSERT_TRUE(gen.ok());
-  EXPECT_TRUE(gen->base.empty());
-  EXPECT_EQ(gen->num_trails, 2u);
-  EXPECT_FALSE(gen->tree.nodes.empty());
+TEST(PatternTreeTest, EndsPatternCountsEveryTrailUnderValves) {
+  // Truncation stops the walk between steps, and each step adds a tree
+  // node together with the trail it ends, so the predicate still finds
+  // exactly num_trails patterns.
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    Tpiin net = RandomTpiin(seed, /*max_persons=*/8, /*max_companies=*/16);
+    for (const SubTpiin& sub : SegmentTpiin(net)) {
+      for (size_t max_trails : {0, 1, 3, 17}) {
+        for (size_t max_len : {0, 1, 2, 4}) {
+          PatternGenOptions options;
+          options.max_trails = max_trails;
+          options.max_trail_length = max_len;
+          auto gen = GeneratePatternBase(sub, options);
+          ASSERT_TRUE(gen.ok());
+          EXPECT_EQ(PatternEnds(sub, gen->tree).size(), gen->num_trails)
+              << "seed " << seed << " max_trails " << max_trails
+              << " max_trail_length " << max_len;
+        }
+      }
+    }
+  }
 }
 
 TEST(PatternTreeTest, CyclicInfluenceRejected) {

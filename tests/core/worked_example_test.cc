@@ -56,26 +56,27 @@ TEST_F(WorkedExampleTest, PatternBaseMatchesFig10) {
   ASSERT_EQ(subs.size(), 1u);
   auto gen = GeneratePatternBase(subs[0]);
   ASSERT_TRUE(gen.ok()) << gen.status().ToString();
-  const PatternBase& base = gen->base;
 
-  // Fig. 10 lists exactly 15 suspicious relationship trails.
-  EXPECT_EQ(base.size(), 15u);
-
-  std::set<std::string> formatted;
-  for (const auto& trail : base) formatted.insert(trail.Format(subs[0]));
-
-  const char* kExpected[] = {
-      "L1, C2, C5 -> C6", "L1, C2, C5 -> C7", "L1, C1, C3 -> C5",
-      "L1, C4",           "L3, C5 -> C7",     "L3, C5 -> C6",
-      "L2, C3 -> C5",     "B1, C5 -> C6",     "B1, C5 -> C7",
-      "B1, C6",           "L4, C6",           "L4, C7 -> C8",
-      "B2, C7 -> C8",     "B2, C8 -> C4",     "L5, C8 -> C4",
-  };
-  for (const char* expected : kExpected) {
-    EXPECT_TRUE(formatted.count(expected))
-        << "missing trail: " << expected;
-  }
-  EXPECT_EQ(formatted.size(), 15u);
+  // Fig. 10 lists exactly 15 suspicious relationship trails; they are
+  // rendered from the patterns tree in Algorithm 2's emission order
+  // (roots in listD order, out arcs in arc-id order).
+  EXPECT_EQ(gen->num_trails, 15u);
+  EXPECT_EQ(FormatPatternBase(subs[0], gen->tree),
+            "1. L1, C1, C3 -> C5\n"
+            "2. L1, C2, C5 -> C6\n"
+            "3. L1, C2, C5 -> C7\n"
+            "4. L1, C4\n"
+            "5. L4, C6\n"
+            "6. L4, C7 -> C8\n"
+            "7. B1, C5 -> C6\n"
+            "8. B1, C5 -> C7\n"
+            "9. B1, C6\n"
+            "10. B2, C7 -> C8\n"
+            "11. B2, C8 -> C4\n"
+            "12. L2, C3 -> C5\n"
+            "13. L3, C5 -> C6\n"
+            "14. L3, C5 -> C7\n"
+            "15. L5, C8 -> C4\n");
 }
 
 TEST_F(WorkedExampleTest, ListDOrdersRootsFirst) {
@@ -93,9 +94,7 @@ TEST_F(WorkedExampleTest, ListDOrdersRootsFirst) {
 
 TEST_F(WorkedExampleTest, PatternsTreeSharesRootPrefixes) {
   std::vector<SubTpiin> subs = SegmentTpiin(net_);
-  PatternGenOptions options;
-  options.build_tree = true;
-  auto gen = GeneratePatternBase(subs[0], options);
+  auto gen = GeneratePatternBase(subs[0]);
   ASSERT_TRUE(gen.ok());
   const PatternsTree& tree = gen->tree;
   // One tree root per indegree-zero node.

@@ -158,7 +158,7 @@ uint32_t PatternDigest(const Tpiin& net, const PatternGenOptions& options) {
     Result<PatternGenResult> gen = GeneratePatternBase(sub, options);
     EXPECT_TRUE(gen.ok()) << gen.status().ToString();
     if (!gen.ok()) return 0;
-    text += FormatPatternBase(sub, gen->base);
+    text += FormatPatternBase(sub, gen->tree);
     text += StringPrintf("trails=%zu truncated=%d\n", gen->num_trails,
                          gen->truncated ? 1 : 0);
     for (const PatternsTree::TreeNode& node : gen->tree.nodes) {

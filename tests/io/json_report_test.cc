@@ -7,14 +7,6 @@
 namespace tpiin {
 namespace {
 
-TEST(JsonEscapeTest, EscapesSpecials) {
-  EXPECT_EQ(JsonEscape("plain"), "plain");
-  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(JsonEscape("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(JsonEscape(std::string("ctl\x01") + "x"), "ctl\\u0001x");
-}
-
 class JsonReportTest : public ::testing::Test {
  protected:
   JsonReportTest() : net_(BuildWorkedExampleTpiin()) {

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pattern_tree.h"
 #include "datagen/worked_example.h"
 
 namespace tpiin {
@@ -26,30 +25,14 @@ std::string TempPath(const char* name) {
 class PatternFileTest : public ::testing::Test {
  protected:
   PatternFileTest() : net_(BuildWorkedExampleTpiin()) {
-    subs_ = SegmentTpiin(net_);
-    auto gen = GeneratePatternBase(subs_[0]);
-    EXPECT_TRUE(gen.ok());
-    base_ = std::move(gen)->base;
     auto result = DetectSuspiciousGroups(net_);
     EXPECT_TRUE(result.ok());
     detection_ = std::move(result).value();
   }
 
   Tpiin net_;
-  std::vector<SubTpiin> subs_;
-  PatternBase base_;
   DetectionResult detection_;
 };
-
-TEST_F(PatternFileTest, PatternBaseFileNumbersAllTrails) {
-  std::string path = TempPath("tpiin_patterns_1.txt");
-  ASSERT_TRUE(WritePatternBaseFile(path, subs_[0], base_).ok());
-  std::string text = ReadAll(path);
-  EXPECT_NE(text.find("1. "), std::string::npos);
-  EXPECT_NE(text.find("15. "), std::string::npos);
-  EXPECT_NE(text.find("-> C6"), std::string::npos);
-  std::filesystem::remove(path);
-}
 
 TEST_F(PatternFileTest, SusGroupFileListsAllGroups) {
   std::string path = TempPath("tpiin_susgroup_1.txt");
@@ -86,8 +69,6 @@ TEST_F(PatternFileTest, DetectionReportIsComprehensive) {
 }
 
 TEST_F(PatternFileTest, UnwritablePathsFail) {
-  EXPECT_TRUE(
-      WritePatternBaseFile("/no/dir/p.txt", subs_[0], base_).IsIOError());
   EXPECT_TRUE(WriteSuspiciousGroupsFile("/no/dir/g.txt", net_, {})
                   .IsIOError());
   EXPECT_TRUE(WriteSuspiciousTradesFile("/no/dir/t.txt", net_, {})

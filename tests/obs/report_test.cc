@@ -13,6 +13,14 @@
 namespace tpiin {
 namespace {
 
+TEST(JsonEscapeTest, EscapesSpecials) {
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("line\nbreak"), "line\\nbreak");
+  EXPECT_EQ(JsonEscape(std::string("ctl\x01") + "x"), "ctl\\u0001x");
+}
+
 TEST(ReportValueTest, RendersEveryAlternative) {
   EXPECT_EQ(ReportValueToJson(ReportValue(int64_t{-3})), "-3");
   EXPECT_EQ(ReportValueToJson(ReportValue(uint64_t{7})), "7");
